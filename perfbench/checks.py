@@ -21,7 +21,6 @@ import hashlib
 import io
 import json
 import math
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -37,7 +36,6 @@ _CHUNK = 2048
 
 # --- independent model -------------------------------------------------------
 
-@lru_cache(maxsize=32)
 def _spectrum(n: int):
     """Eigensystem of the isotropic single-excitation sector (off-diagonal -2, ends 2, bulk 4)."""
     diagonal = np.full(n, 4.0)

@@ -7,10 +7,11 @@ has run at least once.  Every job's exit code and output are checked.
 
     python3 perfbench/run.py --workload greedy_large --seed 1 --seconds 30 --trace 0
 
-``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` spends half the
-time untraced and half with spans around each module's entry points, and
-prints the per-layer metrics plus the tracing overhead.  The last line of
-standard output is one JSON object: correct, attempted, failed, metrics.
+``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` runs whole deck
+passes, untraced and with spans around each module's entry points in turn,
+and prints the per-layer metrics per traced pass plus the tracing overhead.
+The last line of standard output is one JSON object: correct, attempted,
+failed, metrics.
 ``--out FILE`` also appends the full record (with the environment) for
 compare.py.  The package is imported from ``src/`` of the checkout that holds
 this directory; the run fails without it.
@@ -55,17 +56,27 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT_DIR = ROOT / ".perfbench_out"
-SETUP_REPEATS = 7
 
 # Speed probe: a fixed kernel outside the package, timed about once per
-# second of job time.  The host's speed drifts by tens of percent over
-# minutes; job times are divided, and rates multiplied, by the run's median
-# probe time over PROBE_REF_S, so runs made at different moments stay
-# comparable.  PROBE_REF_S is a round figure near the probe's time on a 2-vCPU
-# Xeon virtual machine; it only sets the scale.  setup_s stays wall-clock:
-# interpreter start-up happens before the loop and follows the probe loosely.
+# second of job time and after the last job.  The host's speed drifts by tens
+# of percent over minutes and also within a run.  Each job time is divided by
+# the median of the PROBE_WINDOW probes nearest to it (the two around it and
+# two more on each side) over PROBE_REF_S, so runs made at different moments
+# stay comparable.  One probe is itself noisy: in traces on a 2-vCPU Xeon
+# virtual machine the median of six left less job-time noise than the two
+# probes around the job alone or the run's median.  PROBE_REF_S is a round
+# figure near the probe's time on that machine; it only sets the scale.
 PROBE_REF_S = 0.05
 PROBE_EVERY_S = 1.0
+PROBE_WINDOW = 6
+
+# setup_s: interpreter start-up follows the speed probe loosely, so set-up is
+# normalized by its own baseline instead, a fresh interpreter that runs the
+# benchmark's imports but not the package's (see measure_setup).  setup_s is
+# the median set-up / baseline ratio of SETUP_REPEATS pairs times
+# SETUP_REF_S, a round figure near the baseline's time on the same machine.
+SETUP_REPEATS = 7
+SETUP_REF_S = 0.45
 
 # Highest percentile with at least ten samples beyond it in a 30 s run at
 # the seed; fixed per workload so that a faster program, which fits more
@@ -106,28 +117,44 @@ def environment() -> dict:
             "DUALRAIL_THREADS": os.environ.get("DUALRAIL_THREADS", "unset")}
 
 
-def measure_setup(workload: str, seed: int) -> list:
-    """Seconds from interpreter start to first job ready, in fresh interpreters."""
-    times = []
+def _ready_time(argv: list) -> float:
+    """Seconds from starting ``argv`` to its first line, which must read "ready"."""
+    start = time.perf_counter()
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        ready = proc.stdout.readline()
+        elapsed = time.perf_counter() - start
+        try:
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            _, err = proc.communicate()
+    if ready.strip() != "ready" or proc.returncode != 0:
+        raise SystemExit(f"perfbench: set-up probe failed: {err.strip()}")
+    return elapsed
+
+
+def measure_setup(workload: str, seed: int) -> tuple:
+    """(set-up times, baseline times) of SETUP_REPEATS pairs of fresh interpreters.
+
+    A set-up probe runs this script up to the first job ready: interpreter,
+    the benchmark's own imports, ``dualrail`` and the deck's input files.  Its
+    baseline runs the same script but stops before importing ``dualrail``.
+    The two alternate in order, so each pair sees the same host speed.
+    """
+    setup, base = [], []
     for k in range(SETUP_REPEATS):
         probe_dir = OUT_DIR / f"setup-{os.getpid()}-{k}"
         argv = [sys.executable, str(HERE / "run.py"), "--workload", workload,
                 "--seed", str(seed), "--setup-probe", str(probe_dir)]
-        start = time.perf_counter()
-        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              text=True) as proc:
-            ready = proc.stdout.readline()
-            elapsed = time.perf_counter() - start
-            try:
-                _, err = proc.communicate(timeout=60)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                _, err = proc.communicate()
+        if k % 2:
+            setup.append(_ready_time(argv))
+            base.append(_ready_time([*argv, "--setup-baseline"]))
+        else:
+            base.append(_ready_time([*argv, "--setup-baseline"]))
+            setup.append(_ready_time(argv))
         shutil.rmtree(probe_dir, ignore_errors=True)
-        if ready.strip() != "ready" or proc.returncode != 0:
-            raise SystemExit(f"perfbench: set-up probe failed: {err.strip()}")
-        times.append(elapsed)
-    return times
+    return setup, base
 
 
 def execute(cli, job) -> tuple:
@@ -188,8 +215,6 @@ class Runner:
         self.attempted = 0
         self.failures: list = []
         self.tracer = None
-        self.probe = None
-        self.probe_times: list = []
 
     def run(self, job) -> float:
         if self.tracer is not None:
@@ -210,20 +235,62 @@ class Runner:
             self.tracer.counts["cli.output_bytes"] += len(text.encode()) if text else 0
         return elapsed
 
-    def loop(self, jobs: list, seconds: float) -> list:
-        """Per-job wall times after at least ``seconds`` of job time and one full pass."""
+    def loop(self, jobs: list, seconds: float, probe: SpeedProbe) -> tuple:
+        """Per-job wall times after at least ``seconds`` of job time and one full pass.
+
+        Returns (wall times, the same divided by the speed probes nearest
+        to each, all probe times).
+        """
         samples = [[] for _ in jobs]
+        before = [[] for _ in jobs]  # index of the last probe before each sample
+        probe_times = []
         measured, probed = 0.0, -PROBE_EVERY_S
         while measured < seconds or not all(samples):
             for i in self.rng.permutation(len(jobs)):
-                if self.probe is not None and measured - probed >= PROBE_EVERY_S:
-                    self.probe_times.append(self.probe())
+                if measured - probed >= PROBE_EVERY_S:
+                    probe_times.append(probe())
                     probed = measured
                 samples[i].append(self.run(jobs[i]))
+                before[i].append(len(probe_times) - 1)
                 measured += samples[i][-1]
                 if measured >= seconds and all(samples):
                     break
-        return samples
+        probe_times.append(probe())
+        side = PROBE_WINDOW // 2 - 1
+        speed = [statistics.median(probe_times[max(0, k - side):k + 2 + side]) / PROBE_REF_S
+                 for k in range(len(probe_times) - 1)]
+        normalized = [[t / speed[k] for t, k in zip(s, b)] for s, b in zip(samples, before)]
+        return samples, normalized, probe_times
+
+    def alternate(self, jobs: list, seconds: float, tracer: Tracer) -> tuple:
+        """Whole deck passes, untraced and traced in turn, until ``seconds`` of job time.
+
+        Passes come in pairs whose order alternates (untraced first, then
+        traced first), so that host drift cancels out of the overhead.
+        Returns (untraced samples, traced samples, [(untraced s, traced s)]).
+        """
+        untraced, traced = [[] for _ in jobs], [[] for _ in jobs]
+        pairs, measured = [], 0.0
+        while measured < seconds or not pairs:
+            spent = {}
+            order = (False, True) if len(pairs) % 2 == 0 else (True, False)
+            for tracing in order:
+                samples = traced if tracing else untraced
+                if tracing:
+                    self.tracer = tracer
+                    tracer.install()
+                try:
+                    spent[tracing] = 0.0
+                    for i in self.rng.permutation(len(jobs)):
+                        samples[i].append(self.run(jobs[i]))
+                        spent[tracing] += samples[i][-1]
+                finally:
+                    if tracing:
+                        tracer.uninstall()
+                        self.tracer = None
+            pairs.append((spent[False], spent[True]))
+            measured += spent[False] + spent[True]
+        return untraced, traced, pairs
 
 
 def weighted_quantile(samples: list, q: float) -> float:
@@ -240,38 +307,49 @@ def jobs_per_s(samples: list) -> float:
     return len(samples) / sum(statistics.median(s) for s in samples)
 
 
-def end_to_end(samples: list, percentile: int, setup: list, probe_times: list) -> tuple:
-    """(normalized metrics, wall-clock metrics, machine factor)."""
-    tail = weighted_quantile(samples, percentile / 100)
-    count = sum(len(s) for s in samples)
-    beyond = sum(t > tail for s in samples for t in s)
-    wall = {
-        "job_p50_s": (weighted_quantile(samples, 0.5), "s", ""),
-        "job_tail_s": (tail, "s", f"p{percentile}, {beyond} of {count} samples beyond"),
-        "jobs_per_s": (jobs_per_s(samples), "1/s", f"{len(samples)}-job deck mix"),
-        "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB", ""),
-        "setup_s": (statistics.median(setup), "s",
-                    f"median of {len(setup)} wall times: " + " ".join(f"{t:.3f}" for t in setup)),
-    }
-    factor = statistics.median(probe_times) / PROBE_REF_S
-    scale = {"job_p50_s": 1.0 / factor, "job_tail_s": 1.0 / factor, "jobs_per_s": factor}
-    metrics = {name: (value * scale.get(name, 1.0), unit, note)
-               for name, (value, unit, note) in wall.items()}
-    return metrics, wall, factor
+def end_to_end(samples: list, normalized: list, percentile: int, setup: tuple) -> tuple:
+    """(metrics, wall-clock metrics).
+
+    Job times and the rate come from the probe-normalized samples, setup_s
+    from the set-up / baseline ratios.
+    """
+    def job_metrics(times: list) -> dict:
+        tail = weighted_quantile(times, percentile / 100)
+        count = sum(len(s) for s in times)
+        beyond = sum(t > tail for s in times for t in s)
+        return {
+            "job_p50_s": (weighted_quantile(times, 0.5), "s", ""),
+            "job_tail_s": (tail, "s", f"p{percentile}, {beyond} of {count} samples beyond"),
+            "jobs_per_s": (jobs_per_s(times), "1/s", f"{len(times)}-job deck mix"),
+        }
+
+    setup_times, base_times = setup
+    ratio = statistics.median(s / b for s, b in zip(setup_times, base_times))
+    peak = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB", "")
+    metrics = {**job_metrics(normalized), "peak_rss_mb": peak,
+               "setup_s": (ratio * SETUP_REF_S, "s",
+                           f"median set-up / baseline {ratio:.4f} of {len(setup_times)} pairs "
+                           f"x {SETUP_REF_S} s")}
+    wall = {**job_metrics(samples), "peak_rss_mb": peak,
+            "setup_s": (statistics.median(setup_times), "s", ""),
+            "setup_baseline_s": (statistics.median(base_times), "s", "")}
+    return metrics, wall
 
 
-def per_layer(tracer: Tracer, untraced: list, traced: list) -> dict:
+def per_layer(tracer: Tracer, untraced: list, traced: list, pairs: list) -> dict:
+    """Per deck pass: every span total and counter over the traced passes / their number."""
+    passes = len(pairs)
     totals = tracer.layer_totals()
     metrics = {}
     for name, _, _ in TARGETS:
         calls, self_s = totals.get(name, (0, 0.0))
-        note = "absent" if name in tracer.absent else ""
-        metrics[f"{name}.calls"] = (calls, "count", note)
-        metrics[f"{name}.self_s"] = (self_s, "s", note)
+        note = "absent" if name in tracer.absent else "per pass"
+        metrics[f"{name}.calls"] = (calls / passes, "count", note)
+        metrics[f"{name}.self_s"] = (self_s / passes, "s", note)
     for name in ("scheduler.golden.evals", "chain_core.transition_amplitudes.points",
                  "cli.output_bytes", "cli.exit_2", "cli.exit_3", "cli.exit_4"):
         unit = "B" if name.endswith("bytes") else "count"
-        metrics[name] = (tracer.counts[name], unit, "")
+        metrics[name] = (tracer.counts[name] / passes, unit, "per pass")
     metrics["scheduler.phase_table_bytes"] = (tracer.peaks["scheduler.phase_table_bytes"], "B",
                                               "largest table built")
     golden_calls = totals.get("scheduler.golden", (0, 0.0))[0]
@@ -279,11 +357,11 @@ def per_layer(tracer: Tracer, untraced: list, traced: list) -> dict:
     metrics["scheduler.refine_useful_ratio"] = (
         best_tau_calls / golden_calls if golden_calls else 0.0, "ratio",
         f"{best_tau_calls} best_tau calls / {golden_calls} golden-section searches")
-    base, with_spans = jobs_per_s(untraced), jobs_per_s(traced)
-    metrics["trace.jobs_per_s_untraced"] = (base, "1/s", "")
-    metrics["trace.jobs_per_s_traced"] = (with_spans, "1/s", "")
-    metrics["trace.overhead"] = (1.0 - with_spans / base, "ratio",
-                                 "1 - traced / untraced jobs_per_s")
+    metrics["trace.jobs_per_s_untraced"] = (jobs_per_s(untraced), "1/s", "")
+    metrics["trace.jobs_per_s_traced"] = (jobs_per_s(traced), "1/s", "")
+    metrics["trace.overhead"] = (
+        statistics.median(1.0 - base / with_spans for base, with_spans in pairs), "ratio",
+        f"1 - traced / untraced jobs_per_s, median of {passes} adjacent pass pairs")
     return metrics
 
 
@@ -300,8 +378,13 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", help="append the full result record to this JSON-lines file")
     parser.add_argument("--setup-probe", dest="setup_probe", help=argparse.SUPPRESS)
+    parser.add_argument("--setup-baseline", dest="setup_baseline", action="store_true",
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
+    if args.setup_baseline:
+        print("ready", flush=True)
+        return 0
     cli = import_cli()
     if args.setup_probe:
         generate(args.workload, args.seed, Path(args.setup_probe))
@@ -314,8 +397,10 @@ def main(argv=None) -> int:
     print(f"perfbench workload={args.workload} seed={args.seed} seconds={args.seconds:g} "
           f"trace={args.trace}")
     print("env " + " ".join(f"{k}={v}" for k, v in env.items()))
-    setup = measure_setup(args.workload, args.seed) if args.trace == 0 else []
+    setup = measure_setup(args.workload, args.seed) if args.trace == 0 else None
 
+    # The benchmark's own share of peak_rss_mb: interpreter, numpy, scipy, refs.
+    own_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     work = OUT_DIR / f"{args.workload}-{args.seed}-{os.getpid()}"
     try:
         jobs, probes = generate(args.workload, args.seed, work)
@@ -323,25 +408,25 @@ def main(argv=None) -> int:
         for probe in probes:
             runner.run(probe)
         if args.trace == 0:
-            runner.probe = SpeedProbe()
-            samples = runner.loop(jobs, args.seconds)
-            metrics, wall, factor = end_to_end(samples, TAIL_PERCENTILE[args.workload], setup,
-                                               runner.probe_times)
+            samples, normalized, probe_times = runner.loop(jobs, args.seconds, SpeedProbe())
+            metrics, wall = end_to_end(samples, normalized, TAIL_PERCENTILE[args.workload], setup)
+            factor = statistics.median(probe_times) / PROBE_REF_S
+            wall["rss_before_jobs_mb"] = (own_rss_mb, "MB", "")
             names = declared("end_to_end")
-            print(f"machine factor {factor:.4f}: median of {len(runner.probe_times)} speed "
+            print(f"machine factor {factor:.4f}: median of {len(probe_times)} speed "
                   f"probes over {PROBE_REF_S} s; wall-clock values before normalizing:")
             for name, (value, unit, _) in wall.items():
                 print(f"  wall {name:36s} {value:14.6g} {unit}")
+            job_medians = {job.name: [job.summary, statistics.median(s), statistics.median(n)]
+                           for job, s, n in zip(jobs, samples, normalized)}
+            print("median time per deck job, slowest first: wall, normalized")
+            for name, (summary, wall_s, norm_s) in sorted(job_medians.items(),
+                                                          key=lambda kv: -kv[1][2]):
+                print(f"  {name:18s} {wall_s:9.4f} s {norm_s:9.4f} s  {summary}")
         else:
-            untraced = runner.loop(jobs, args.seconds / 2)
-            runner.tracer = tracer = Tracer()
-            tracer.install()
-            try:
-                traced = runner.loop(jobs, args.seconds / 2)
-            finally:
-                tracer.uninstall()
-                runner.tracer = None
-            metrics = per_layer(tracer, untraced, traced)
+            tracer = Tracer()
+            untraced, traced, pairs = runner.alternate(jobs, args.seconds, tracer)
+            metrics = per_layer(tracer, untraced, traced, pairs)
             names = declared("per_layer")
             if tracer.absent:
                 print("absent entry points: " + " ".join(tracer.absent))
@@ -359,8 +444,7 @@ def main(argv=None) -> int:
           f"{failed} of {runner.attempted} jobs")
     for job, problems in runner.failures:
         tag = f" [known defect: {job.known_defect}]" if job.known_defect else ""
-        argv = " ".join(a.replace(str(work) + os.sep, "") for a in job.argv)
-        print(f"FAILED {job.name}{tag} {argv}: {'; '.join(problems)}")
+        print(f"FAILED {job.name}{tag} {job.summary}: {'; '.join(problems)}")
     result = {
         "correct": all(job.known_defect for job, _ in runner.failures),
         "attempted": runner.attempted,
@@ -375,6 +459,9 @@ def main(argv=None) -> int:
         if args.trace == 0:
             record["machine_factor"] = factor
             record["wall"] = {name: value for name, (value, _, _) in wall.items()}
+            record["job_median_s"] = job_medians
+        else:
+            record["pass_pairs_s"] = pairs
         with open(args.out, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record) + "\n")
     print(json.dumps(result))

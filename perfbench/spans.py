@@ -99,7 +99,8 @@ class Tracer:
             owner = getattr(module, owner_name, None) if owner_name else module
             original = vars(owner).get(method) if owner is not None else None
             if original is None:
-                self.absent.append(name)
+                if name not in self.absent:
+                    self.absent.append(name)
                 continue
             wrapper = self._wrapper(name, original)
             if owner_name:

@@ -77,6 +77,11 @@ class Job:
     def out(self) -> str:
         return self.argv[self.argv.index("--out") + 1]
 
+    @property
+    def summary(self) -> str:
+        """The argv with generated file paths cut to their file names."""
+        return " ".join(a.rpartition("/")[2] for a in self.argv)
+
 
 class _Deck:
     def __init__(self, workload: str, work: Path, rng: np.random.Generator):
