@@ -235,6 +235,11 @@ class Runner:
             self.tracer.counts["cli.output_bytes"] += len(text.encode()) if text else 0
         return elapsed
 
+    def probe_defect(self, job) -> list:
+        """Problems of a known-defect probe; it is checked but is not a workload job."""
+        _, code, text, err = execute(self.cli, job)
+        return check(job, code, text, err, self.refs)
+
     def loop(self, jobs: list, seconds: float, probe: SpeedProbe) -> tuple:
         """Per-job wall times after at least ``seconds`` of job time and one full pass.
 
@@ -405,8 +410,7 @@ def main(argv=None) -> int:
     try:
         jobs, probes = generate(args.workload, args.seed, work)
         runner = Runner(cli, refs, args.seed)
-        for probe in probes:
-            runner.run(probe)
+        defects = [(probe, runner.probe_defect(probe)) for probe in probes]
         if args.trace == 0:
             samples, normalized, probe_times = runner.loop(jobs, args.seconds, SpeedProbe())
             metrics, wall = end_to_end(samples, normalized, TAIL_PERCENTILE[args.workload], setup)
@@ -443,10 +447,15 @@ def main(argv=None) -> int:
     print(f"{'failed_ratio':42s} {failed / runner.attempted:14.6g} {'ratio':6s} "
           f"{failed} of {runner.attempted} jobs")
     for job, problems in runner.failures:
-        tag = f" [known defect: {job.known_defect}]" if job.known_defect else ""
-        print(f"FAILED {job.name}{tag} {job.summary}: {'; '.join(problems)}")
+        print(f"FAILED {job.name} {job.summary}: {'; '.join(problems)}")
+    if defects:
+        print(f"known-defect probes: {sum(bool(p) for _, p in defects)} of {len(defects)} "
+              "still fail (not counted in attempted or failed)")
+    for job, problems in defects:
+        state = f"FAILS: {'; '.join(problems)}" if problems else "now passes its check"
+        print(f"KNOWN DEFECT {job.name} [{job.known_defect}] {job.summary}: {state}")
     result = {
-        "correct": all(job.known_defect for job, _ in runner.failures),
+        "correct": not runner.failures,
         "attempted": runner.attempted,
         "failed": failed,
         "metrics": {name: {"value": metrics[name][0], "unit": metrics[name][1]}
@@ -455,7 +464,8 @@ def main(argv=None) -> int:
     if args.out:
         record = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
                   "trace": args.trace, "env": env, **result,
-                  "failing_jobs": [job.name for job, _ in runner.failures]}
+                  "failing_jobs": [job.name for job, _ in runner.failures],
+                  "known_defects": {job.name: problems for job, problems in defects}}
         if args.trace == 0:
             record["machine_factor"] = factor
             record["wall"] = {name: value for name, (value, _, _) in wall.items()}

@@ -62,8 +62,8 @@ class Job:
 
     ``kind`` selects the check; ``spec`` holds the generated parameters the
     check compares against.  A ``known_defect`` job is a probe that runs once
-    per run, outside the timing mix; its failure is counted and named but does
-    not make the run incorrect.
+    per run, outside the job mix and its attempted/failed counts; its check
+    result is printed and recorded by name.
     """
 
     name: str
