@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, oracle, protocol
 from ._csvio import render_csv, write_text
-from .chain_core import ChainSpec, build_sector_hamiltonian, diagonalize, transition_amplitudes
+from .chain_core import ChainSpec, build_sector_hamiltonian, diagonalize, grid_transition_amplitudes
 from .noise import NoiseParams
 from .scheduler import Schedule, ThresholdNotReached, greedy_optimize, greedy_run, uniform_schedule
 
@@ -134,7 +134,7 @@ def _cmd_amplitude(cfg: dict) -> int:
     if dt <= 0 or t_max <= 0:
         raise ValueError("t grid needs positive --dt and --t-max")
     ts = np.arange(0.0, t_max + 0.5 * dt, dt)
-    probs = np.abs(transition_amplitudes(dec, spec.n_sites, 1, ts)) ** 2
+    probs = np.abs(grid_transition_amplitudes(dec, spec.n_sites, 1, 0.0, dt, len(ts))) ** 2
     ns_suffix, to_ns = _time_columns(cfg)
     columns = ("t_natural", *(f"t{s}" for s in ns_suffix), "p_transfer")
     rows = [(float(t), *to_ns(float(t)), float(p)) for t, p in zip(ts, probs)]

@@ -182,8 +182,8 @@ def asymmetric_run(
     wa, wb = abs(alpha) ** 2, abs(beta) ** 2
 
     intervals = np.asarray(getattr(schedule, "intervals", schedule), dtype=float)
-    if intervals.size == 0 or np.any(intervals <= 0):
-        raise ValueError("schedule must be non-empty with positive intervals")
+    if intervals.size == 0 or not np.all(np.isfinite(intervals) & (intervals > 0)):
+        raise ValueError("schedule must be non-empty with finite positive intervals")
 
     state = protocol.init_state(dec.n_sites)
     steps = []

@@ -184,8 +184,8 @@ def run_schedule(
     intervals = np.asarray(getattr(schedule, "intervals", schedule), dtype=float)
     if intervals.size == 0:
         raise ValueError("schedule must contain at least one interval")
-    if np.any(intervals <= 0):
-        raise ValueError("all schedule intervals must be positive")
+    if not np.all(np.isfinite(intervals) & (intervals > 0)):
+        raise ValueError("all schedule intervals must be finite and positive")
 
     state = init_state(dec.n_sites)
     if noise is None:

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import protocol
-from .chain_core import SpectralDecomposition
+from .chain_core import PhaseGrid, SpectralDecomposition
 
 
 class ThresholdNotReached(RuntimeError):
@@ -50,8 +50,8 @@ class Schedule:
         intervals = np.asarray(self.intervals, dtype=float)
         if intervals.ndim != 1 or intervals.size == 0:
             raise ValueError("schedule needs a non-empty 1-d interval list")
-        if np.any(intervals <= 0):
-            raise ValueError("all intervals must be strictly positive")
+        if not np.all(np.isfinite(intervals) & (intervals > 0)):
+            raise ValueError("all intervals must be finite and strictly positive")
         object.__setattr__(self, "intervals", intervals)
 
     def __len__(self) -> int:
@@ -112,8 +112,10 @@ class _EndpointObjective:
     """Per-run cache for the greedy objective over a fixed tau grid.
 
     The objective is exp(-2*gamma*tau) * |(F(tau) c)_N|^2; in the eigenbasis
-    this is |w . exp(-i E tau)|^2 for w_k = v_k(N) * (V^T c)_k, so one cached
-    (grid x modes) phase table turns every scan into a matrix-vector product.
+    this is |w . exp(-i E tau)|^2 for w_k = v_k(N) * (V^T c)_k.  The tau grid's
+    phases are cached once per run as a factored PhaseGrid, O(N * sqrt(G))
+    memory for G grid points instead of a (G x modes) table, so every scan is
+    one small matrix product.
     """
 
     def __init__(
@@ -134,7 +136,7 @@ class _EndpointObjective:
         self.grid_step = grid_step
         self.gamma = gamma
         self.dec = dec
-        self._phases = np.exp(-1j * np.outer(self.taus, dec.energies))
+        self._grid = PhaseGrid(dec.energies, t_lo, grid_step, n_pts)
         self._damp = np.exp(-2.0 * gamma * self.taus)
 
     def _weights(self, c: np.ndarray) -> np.ndarray:
@@ -142,7 +144,7 @@ class _EndpointObjective:
 
     def best_tau(self, c: np.ndarray, refine_tol: float) -> float:
         w = self._weights(c)
-        obj = self._damp * np.abs(self._phases @ w) ** 2
+        obj = self._damp * np.abs(self._grid.sums(w)) ** 2
         best_grid = float(np.max(obj))
 
         # grid local maxima (and boundary points beating their neighbour)
@@ -215,6 +217,8 @@ def greedy_run(
     """
     if l_max is None and p_target is None and step_success_tol is None:
         raise ValueError("need at least one stop condition")
+    if p_target is not None and not 0.0 < p_target < 1.0:
+        raise ValueError(f"p_target must be in (0, 1), got {p_target}")
     if window is None:
         window = default_window(dec.n_sites)
 
@@ -280,8 +284,6 @@ def time_to_failure_threshold(
 
     Raises ThresholdNotReached when ``l_cap`` measurements do not suffice.
     """
-    if not 0.0 < p_target < 1.0:
-        raise ValueError(f"p_target must be in (0, 1), got {p_target}")
     run = greedy_run(dec, l_max=l_cap, p_target=p_target, **greedy_options)
     last = run.records[-1]
     if last.joint_failure > p_target:

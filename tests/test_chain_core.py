@@ -1,6 +1,7 @@
 """Unit tests of the single-excitation sector: structure, spectra, dynamics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from dualrail.chain_core import (
     build_sector_hamiltonian,
     diagonalize,
     first_peak,
+    grid_transition_amplitudes,
     propagator_matrix,
     transition_amplitude,
     transition_amplitudes,
 )
+from dualrail.scheduler import _EndpointObjective, default_window
 
 
 class TestChainSpec:
@@ -135,6 +138,37 @@ class TestTransitionAmplitude:
             transition_amplitude(dec, 0, 1, 1.0)
         with pytest.raises(ValueError, match="site index"):
             transition_amplitude(dec, 1, 5, 1.0)
+
+
+class TestPhaseGrid:
+    # 16/289 are perfect squares, 17/290 leave a ragged last block
+    @pytest.mark.parametrize("n", [2, 7, 50])
+    @pytest.mark.parametrize("t0", [0.0, 0.37])
+    @pytest.mark.parametrize("n_points", [1, 2, 3, 16, 17, 289, 290])
+    def test_matches_transition_amplitudes(self, dec_cache, n, t0, n_points):
+        dec = dec_cache(n)
+        step = 0.05
+        got = grid_transition_amplitudes(dec, n, 1, t0, step, n_points)
+        expected = transition_amplitudes(dec, n, 1, t0 + step * np.arange(n_points))
+        assert got.shape == (n_points,)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_rejects_empty_grid(self, dec_cache):
+        with pytest.raises(ValueError, match="grid"):
+            grid_transition_amplitudes(dec_cache(3), 3, 1, 0.0, 0.1, 0)
+
+    def test_greedy_objective_memory_is_sublinear_in_grid(self, dec_cache):
+        # the default window at N = 1000 has G = 29001 grid points; a dense
+        # (G x N) complex table would hold 464 MB
+        dec = dec_cache(1000)
+        tracemalloc.start()
+        try:
+            objective = _EndpointObjective(dec, default_window(1000), 0.05, 0.0)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert objective.taus.size == 29001
+        assert held < 16 * 2**20
 
 
 class TestPropagator:

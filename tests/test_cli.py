@@ -73,6 +73,22 @@ class TestProtocol:
         rows = [l for l in out.splitlines() if l and not l.startswith(("#", "l,"))]
         assert len(rows) == 2
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_schedule_file_is_validation_error(self, capsys, tmp_path, bad):
+        path = tmp_path / "sched.json"
+        path.write_text(f'{{"intervals": [{bad}, 1.0]}}')
+        code, out, err = run_cli(capsys, "protocol", "--n", "20", "--schedule", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("p_target", ["0", "-1", "1"])
+    def test_p_target_outside_unit_interval_is_validation_error(self, capsys, p_target):
+        code, out, err = run_cli(capsys, "protocol", "--n", "20", "--p-target", p_target)
+        assert code == 2
+        assert out == ""
+        assert "p_target" in err
+
     def test_threshold_not_reached_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys, "protocol", "--n", "10", "--p-target", "1e-9", "--l-max", "2"

@@ -140,6 +140,11 @@ class TestAsymmetricRun:
         wide = asymmetric_run(dec, NoiseParams(0.02, 0.08), schedule)
         assert wide.min_worst_case_fidelity < narrow.min_worst_case_fidelity
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_rejects_bad_intervals(self, dec_cache, bad):
+        with pytest.raises(ValueError, match="positive"):
+            asymmetric_run(dec_cache(4), NoiseParams(0.01), [bad, 4.0])
+
     def test_rejects_unnormalized_qubit(self, dec_cache):
         with pytest.raises(ValueError, match="normalized"):
             asymmetric_run(dec_cache(4), NoiseParams(0.01), [4.0], qubit=(1.0, 1.0))

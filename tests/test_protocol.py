@@ -90,6 +90,9 @@ class TestRunSchedule:
             protocol.run_schedule(dec, [])
         with pytest.raises(ValueError):
             protocol.run_schedule(dec, [1.0, -2.0])
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                protocol.run_schedule(dec, [bad, 1.0])
 
     def test_to_json_round_trip(self, dec_cache, tmp_path):
         result = protocol.run_schedule(dec_cache(4), [2.0, 3.0])

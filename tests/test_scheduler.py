@@ -23,6 +23,9 @@ class TestSchedule:
             Schedule(intervals=np.array([]))
         with pytest.raises(ValueError):
             Schedule(intervals=np.array([1.0, 0.0]))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Schedule(intervals=np.array([bad, 1.0]))
 
     def test_absolute_times(self):
         sched = Schedule(intervals=np.array([1.0, 2.0, 0.5]))
