@@ -51,8 +51,12 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if self.n_sites < 2:
             raise ValueError(f"n_sites must be >= 2, got {self.n_sites}")
-        if self.coupling <= 0:
-            raise ValueError(f"coupling must be positive, got {self.coupling}")
+        if not (math.isfinite(self.coupling) and self.coupling > 0):
+            raise ValueError(f"coupling must be finite and positive, got {self.coupling}")
+        if not (math.isfinite(self.anisotropy) and math.isfinite(self.field)):
+            raise ValueError(
+                f"anisotropy and field must be finite, got {self.anisotropy} and {self.field}"
+            )
 
 
 @dataclass(frozen=True)
@@ -184,12 +188,6 @@ def propagator_matrix(dec: SpectralDecomposition, tau: float) -> np.ndarray:
         raise ValueError(f"tau must be >= 0, got {tau}")
     phases = np.exp(-1j * dec.energies * tau)
     return (dec.modes * phases) @ dec.modes.T
-
-
-def apply_propagator(dec: SpectralDecomposition, tau: float, c: np.ndarray) -> np.ndarray:
-    """F(tau) @ c without forming the full matrix."""
-    phases = np.exp(-1j * dec.energies * tau)
-    return dec.modes @ (phases * (dec.modes.T @ c))
 
 
 def first_peak(dec: SpectralDecomposition, scan_step: float = 0.01) -> tuple[float, float]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import analysis, oracle, protocol
 from ._csvio import render_csv, write_text
 from .chain_core import ChainSpec, build_sector_hamiltonian, diagonalize, grid_transition_amplitudes
-from .noise import NoiseParams
+from .noise import NoiseParams, asymmetric_run
 from .scheduler import Schedule, ThresholdNotReached, greedy_optimize, greedy_run, uniform_schedule
 
 EXIT_OK = 0
@@ -131,8 +132,8 @@ def _cmd_amplitude(cfg: dict) -> int:
     dec = diagonalize(build_sector_hamiltonian(spec))
     dt = float(cfg.get("dt", 0.01))
     t_max = float(cfg.get("t_max", 1.5 * spec.n_sites))
-    if dt <= 0 or t_max <= 0:
-        raise ValueError("t grid needs positive --dt and --t-max")
+    if not all(math.isfinite(x) and x > 0 for x in (dt, t_max)):
+        raise ValueError("t grid needs finite positive --dt and --t-max")
     ts = np.arange(0.0, t_max + 0.5 * dt, dt)
     probs = np.abs(grid_transition_amplitudes(dec, spec.n_sites, 1, 0.0, dt, len(ts))) ** 2
     ns_suffix, to_ns = _time_columns(cfg)
@@ -163,34 +164,46 @@ def _resolve_noise(cfg: dict):
     return None
 
 
+def _asymmetric_records(dec, noise: NoiseParams, schedule) -> list:
+    """Records of the balanced qubit's joint successes under unequal rail rates."""
+    records, total = [], 0.0
+    for step in asymmetric_run(dec, noise, schedule).steps:
+        total += step.joint_success
+        records.append(protocol.MeasurementRecord(
+            step.index, step.interval, step.absolute_time, step.joint_success, 1.0 - total
+        ))
+    return records
+
+
 def _cmd_protocol(cfg: dict) -> int:
     spec = _chain_spec(cfg)
     dec = diagonalize(build_sector_hamiltonian(spec))
     noise = _resolve_noise(cfg)
+    asymmetric = noise is not None and not noise.symmetric
     source = str(cfg.get("schedule", "greedy"))
     l_max = int(cfg.get("l_max", 20))
     p_target = cfg.get("p_target")
+    if p_target is not None and (source != "greedy" or asymmetric):
+        raise ValueError("--p-target requires --schedule greedy and symmetric damping")
 
-    if source == "greedy":
-        run = greedy_run(
+    if source == "greedy" and not asymmetric:
+        records = greedy_run(
             dec,
             l_max=l_max,
             p_target=float(p_target) if p_target is not None else None,
             gamma=noise.gamma if noise is not None else 0.0,
-        )
-        records = run.records
-        if p_target is not None and records[-1].joint_failure > float(p_target):
-            raise ThresholdNotReached(
-                float(p_target), l_max, records[-1].joint_failure, records[-1].absolute_time
-            )
+        ).records
     else:
-        if p_target is not None:
-            raise ValueError("--p-target requires --schedule greedy")
-        if source == "uniform":
+        if source == "greedy":  # unequal rail rates replay the noiseless greedy intervals
+            schedule = greedy_optimize(dec, l_max=l_max)
+        elif source == "uniform":
             schedule = uniform_schedule(spec.n_sites, l_max)
         else:
             schedule = Schedule.from_json(source)
-        records = protocol.run_schedule(dec, schedule, noise=noise).records
+        if asymmetric:
+            records = _asymmetric_records(dec, noise, schedule)
+        else:
+            records = protocol.run_schedule(dec, schedule, noise=noise).records
 
     ns_suffix, to_ns = _time_columns(cfg)
     columns = (
@@ -206,8 +219,9 @@ def _cmd_protocol(cfg: dict) -> int:
     ]
     meta = {"command": "protocol", "n": spec.n_sites, "schedule": source,
             "gamma_natural": noise.gamma_1 if noise is not None else 0.0}
-    if noise is not None and not noise.symmetric:
+    if asymmetric:
         meta["gamma2_natural"] = noise.gamma_2
+        meta["qubit"] = "balanced"
     _emit(render_csv(columns, rows, meta), cfg.get("out"))
     return EXIT_OK
 

@@ -1,15 +1,18 @@
-"""Amplitude damping in the no-jump (conditional) picture.
+"""Amplitude damping as scalar factors on the noiseless protocol.
 
-In the single-excitation sector the conditional non-unitary evolution under
+In the single-excitation sector the conditional (no-jump) evolution under
 symmetric damping factorizes exactly into exp(-Gamma*t) times the unitary
 propagator; a quantum jump dumps the excitation into the global ground state,
-which can never herald a success at the receiving end.  The jump branch is
-therefore never simulated as a state: it is bookkept as a scalar loss
-probability, which keeps the damped protocol exact at O(N) state cost.
+which can never herald a success at the receiving end.  ``protocol`` applies
+that factor in its one evolve/measure loop (``NoiseParams`` passed to
+``run_schedule``, ``gamma`` to ``greedy_run``) and bookkeeps the jump branch
+as a scalar loss probability, which keeps the damped protocol exact at O(N)
+state cost.
 
 Asymmetric rates keep one shared spatial vector (the rails are identical and
-the failure projection treats them symmetrically) plus two scalar damping
-factors on the logical components.
+the failure projection treats them symmetrically), so ``asymmetric_run``
+weights the step successes of the noiseless run by two scalar damping factors
+on the logical components.
 """
 
 from __future__ import annotations
@@ -50,27 +53,6 @@ class NoiseParams:
         if not self.symmetric:
             raise ValueError("gamma is only defined for symmetric damping")
         return self.gamma_1
-
-
-def evolve_damped(
-    state: protocol.DualRailState,
-    dec: SpectralDecomposition,
-    tau: float,
-    noise: NoiseParams,
-) -> protocol.DualRailState:
-    """Conditional no-jump evolution c <- exp(-Gamma tau) F(tau) c.
-
-    The squared-norm deficit goes into ``state.loss`` (jump probability), so
-    total_success + ||c||^2 + loss stays exactly 1.
-    """
-    if not noise.symmetric:
-        raise ValueError("evolve_damped handles symmetric rates only; use asymmetric_run")
-    before = state.norm_sq()
-    protocol.evolve(state, dec, tau)
-    damp = math.exp(-noise.gamma * tau)
-    state.amplitudes = state.amplitudes * damp
-    state.loss += before * (1.0 - damp * damp)
-    return state
 
 
 def p_infinity_estimate(n_sites: int, gamma: float, l_terms: int = 10_000) -> float:
@@ -132,6 +114,7 @@ class AsymmetricStep:
     """Per-measurement statistics of a run with unequal rail damping."""
 
     index: int
+    interval: float
     absolute_time: float
     joint_success: float
     fidelity: float
@@ -162,7 +145,8 @@ def asymmetric_run(
     """Protocol run with rail-dependent damping rates.
 
     The logical components share one spatial vector c (identical chains,
-    symmetric projections) and carry separate scalar factors
+    symmetric projections), the one of the noiseless run of ``schedule``
+    (``protocol.run_schedule``), and carry separate scalar factors
     a(t) = exp(-gamma_2 t) on the alpha component and b(t) = exp(-gamma_1 t)
     on the beta component.  On success at time t:
 
@@ -181,28 +165,21 @@ def asymmetric_run(
         raise ValueError("input qubit must be normalized")
     wa, wb = abs(alpha) ** 2, abs(beta) ** 2
 
-    intervals = np.asarray(getattr(schedule, "intervals", schedule), dtype=float)
-    if intervals.size == 0 or not np.all(np.isfinite(intervals) & (intervals > 0)):
-        raise ValueError("schedule must be non-empty with finite positive intervals")
-
-    state = protocol.init_state(dec.n_sites)
     steps = []
     total = 0.0
-    for tau in intervals:
-        protocol.evolve(state, dec, float(tau))
-        t = state.time
-        spatial = float(abs(state.amplitudes[-1]) ** 2)
-        protocol.measure(state)
+    for rec in protocol.run_schedule(dec, schedule).records:
+        t = rec.absolute_time
         a = math.exp(-noise.gamma_2 * t)
         b = math.exp(-noise.gamma_1 * t)
         weight = wa * a * a + wb * b * b
-        joint = weight * spatial
+        joint = weight * rec.step_success
         fidelity = (wa * a + wb * b) ** 2 / weight if weight > 0 else 0.0
         worst = (a + b) ** 2 / (2.0 * (a * a + b * b))
         total += joint
         steps.append(
             AsymmetricStep(
-                index=len(steps) + 1,
+                index=rec.index,
+                interval=rec.interval,
                 absolute_time=t,
                 joint_success=joint,
                 fidelity=fidelity,

@@ -112,7 +112,9 @@ class _EndpointObjective:
     """Per-run cache for the greedy objective over a fixed tau grid.
 
     The objective is exp(-2*gamma*tau) * |(F(tau) c)_N|^2; in the eigenbasis
-    this is |w . exp(-i E tau)|^2 for w_k = v_k(N) * (V^T c)_k.  The tau grid's
+    this is |w . exp(-i E tau)|^2 for w_k = v_k(N) * (V^T c)_k, up to a
+    positive factor that moves no maximum, so the state's noiseless mode
+    coefficients a give the weights w = V[N-1, :] * a directly.  The tau grid's
     phases are cached once per run as a factored PhaseGrid, O(N * sqrt(G))
     memory for G grid points instead of a (G x modes) table, so every scan is
     one small matrix product.
@@ -139,11 +141,7 @@ class _EndpointObjective:
         self._grid = PhaseGrid(dec.energies, t_lo, grid_step, n_pts)
         self._damp = np.exp(-2.0 * gamma * self.taus)
 
-    def _weights(self, c: np.ndarray) -> np.ndarray:
-        return self.dec.modes[-1, :] * (self.dec.modes.T @ c)
-
-    def best_tau(self, c: np.ndarray, refine_tol: float) -> float:
-        w = self._weights(c)
+    def best_tau(self, w: np.ndarray, refine_tol: float) -> float:
         obj = self._damp * np.abs(self._grid.sums(w)) ** 2
         best_grid = float(np.max(obj))
 
@@ -212,8 +210,11 @@ def greedy_run(
     Stop conditions (at least one required): ``l_max`` measurements done,
     joint failure below ``p_target``, or last joint step success below
     ``step_success_tol`` (plateau detection for damped runs).  ``gamma`` > 0
-    uses the conditional damped evolution; the objective then includes the
+    damps the run at that symmetric rate; the objective then includes the
     exp(-2*gamma*tau) penalty for waiting.
+
+    Raises ThresholdNotReached when ``p_target`` is given and the run stops
+    above it.
     """
     if l_max is None and p_target is None and step_success_tol is None:
         raise ValueError("need at least one stop condition")
@@ -223,35 +224,22 @@ def greedy_run(
         window = default_window(dec.n_sites)
 
     objective = _EndpointObjective(dec, window, grid_step, gamma)
-    state = protocol.init_state(dec.n_sites)
-    intervals: list[float] = []
-
-    if gamma > 0.0:
-        from .noise import NoiseParams, evolve_damped
-
-        noise = NoiseParams(gamma_1=gamma, gamma_2=gamma)
-
-    while True:
-        if l_max is not None and len(intervals) >= l_max:
-            break
-        tau = objective.best_tau(state.amplitudes, refine_tol)
-        if gamma > 0.0:
-            evolve_damped(state, dec, tau, noise)
-        else:
-            protocol.evolve(state, dec, tau)
+    state = protocol.init_state(dec, gamma)
+    end_row = dec.modes[-1, :]
+    while l_max is None or len(state.records) < l_max:
+        protocol.evolve(state, objective.best_tau(end_row * state.coefficients, refine_tol))
         protocol.measure(state)
-        intervals.append(tau)
         rec = state.records[-1]
         if p_target is not None and rec.joint_failure <= p_target:
             break
         if step_success_tol is not None and rec.step_success < step_success_tol:
             break
 
-    return GreedyRun(
-        schedule=Schedule(intervals=np.asarray(intervals)),
-        records=list(state.records),
-        state=state,
-    )
+    schedule = Schedule(intervals=np.array([r.interval for r in state.records]))
+    last = state.records[-1]
+    if p_target is not None and last.joint_failure > p_target:
+        raise ThresholdNotReached(p_target, last.index, last.joint_failure, last.absolute_time)
+    return GreedyRun(schedule=schedule, records=list(state.records), state=state)
 
 
 def greedy_optimize(
@@ -284,8 +272,5 @@ def time_to_failure_threshold(
 
     Raises ThresholdNotReached when ``l_cap`` measurements do not suffice.
     """
-    run = greedy_run(dec, l_max=l_cap, p_target=p_target, **greedy_options)
-    last = run.records[-1]
-    if last.joint_failure > p_target:
-        raise ThresholdNotReached(p_target, l_cap, last.joint_failure, last.absolute_time)
+    last = greedy_run(dec, l_max=l_cap, p_target=p_target, **greedy_options).records[-1]
     return last.absolute_time, last.index

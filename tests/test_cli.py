@@ -4,7 +4,10 @@ import json
 
 import pytest
 
-from dualrail import cli
+from dualrail import analysis, cli
+from dualrail.chain_core import ChainSpec, build_sector_hamiltonian, diagonalize
+from dualrail.noise import NoiseParams, asymmetric_run
+from dualrail.scheduler import greedy_optimize
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +41,24 @@ class TestAmplitude:
         code, _, err = run_cli(capsys, "amplitude")
         assert code == 2
         assert "chain length" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--j-kelvin", "nan"),
+            ("--j-kelvin", "inf"),
+            ("--dt", "nan"),
+            ("--t-max", "nan"),
+            ("--t-max", "inf"),
+            ("--delta", "nan"),
+            ("--b-field", "inf"),
+        ],
+    )
+    def test_non_finite_input_is_validation_error(self, capsys, flags):
+        code, out, err = run_cli(capsys, "amplitude", "--n", "10", "--t-max", "1", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_writes_file(self, capsys, tmp_path):
         path = tmp_path / "amp.csv"
@@ -95,6 +116,36 @@ class TestProtocol:
         )
         assert code == 3
         assert "target" in err
+
+    ASYMMETRIC = ("--n", "20", "--l-max", "10", "--j-kelvin", "20",
+                  "--gamma1-ns", "0.25", "--gamma2-ns", "0.238")
+
+    def test_asymmetric_rates_report_balanced_qubit(self, capsys):
+        code, out, _ = run_cli(capsys, "protocol", *self.ASYMMETRIC)
+        assert code == 0
+        rows = [l.split(",") for l in out.splitlines() if l and not l.startswith(("#", "l,"))]
+        assert len(rows) == 10
+        dec = diagonalize(build_sector_hamiltonian(ChainSpec(20)))
+        noise = NoiseParams(
+            gamma_1=analysis.gamma_ns_to_natural(0.25, 20.0),
+            gamma_2=analysis.gamma_ns_to_natural(0.238, 20.0),
+        )
+        expected = asymmetric_run(dec, noise, greedy_optimize(dec, 10)).total_success
+        assert 1.0 - float(rows[-1][-1]) == pytest.approx(expected, abs=1e-12)
+        assert expected == pytest.approx(0.9659, abs=1e-4)
+
+    def test_asymmetric_rates_reject_p_target(self, capsys):
+        code, out, err = run_cli(capsys, "protocol", *self.ASYMMETRIC, "--p-target", "0.1")
+        assert code == 2
+        assert out == ""
+        assert "symmetric" in err
+
+    @pytest.mark.parametrize("flags", [("--delta", "nan"), ("--b-field=-inf",)])
+    def test_non_finite_chain_is_validation_error(self, capsys, flags):
+        code, out, err = run_cli(capsys, "protocol", "--n", "10", "--l-max", "2", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_p_target_needs_greedy(self, capsys):
         code, _, err = run_cli(

@@ -5,15 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from dualrail import protocol
-from dualrail.noise import (
-    NoiseParams,
-    asymmetric_run,
-    evolve_damped,
-    p_infinity_estimate,
-    p_infinity_exact,
-)
-from dualrail.scheduler import greedy_optimize, uniform_schedule
+from dualrail import analysis, protocol
+from dualrail.noise import NoiseParams, asymmetric_run, p_infinity_estimate, p_infinity_exact
+from dualrail.scheduler import greedy_optimize, greedy_run, uniform_schedule
 
 
 class TestNoiseParams:
@@ -35,32 +29,30 @@ class TestNoiseParams:
 
 
 class TestEvolveDamped:
+    """Symmetric damping inside the protocol loop, seen through run_schedule states."""
+
     def test_amplitude_scaled_by_exp_gamma_tau(self, dec_cache):
         dec = dec_cache(5)
         gamma, tau = 0.07, 3.0
-        free = protocol.init_state(5)
-        protocol.evolve(free, dec, tau)
-        damped = protocol.init_state(5)
-        evolve_damped(damped, dec, tau, NoiseParams(gamma))
+        free = protocol.run_schedule(dec, [tau]).state
+        damped = protocol.run_schedule(dec, [tau], noise=NoiseParams(gamma)).state
         np.testing.assert_allclose(
             damped.amplitudes, math.exp(-gamma * tau) * free.amplitudes, atol=1e-14
         )
 
     def test_probability_conservation_with_loss(self, dec_cache):
         dec = dec_cache(6)
-        state = protocol.init_state(6)
         noise = NoiseParams(0.05)
-        for tau in (2.0, 3.5, 1.5):
-            evolve_damped(state, dec, tau, noise)
-            protocol.measure(state)
+        taus = (2.0, 3.5, 1.5)
+        for l in range(1, len(taus) + 1):
+            state = protocol.run_schedule(dec, taus[:l], noise=noise).state
             assert state.total_success + state.norm_sq() + state.loss == pytest.approx(
                 1.0, abs=1e-12
             )
 
     def test_rejects_asymmetric_rates(self, dec_cache):
-        state = protocol.init_state(4)
         with pytest.raises(ValueError, match="symmetric"):
-            evolve_damped(state, dec_cache(4), 1.0, NoiseParams(0.1, 0.2))
+            protocol.run_schedule(dec_cache(4), [1.0], noise=NoiseParams(0.1, 0.2))
 
     def test_step_success_factorization(self, dec_cache):
         # joint step successes pick up exactly exp(-2 Gamma t) vs noiseless
@@ -98,6 +90,18 @@ class TestPInfinity:
         # more damping, higher plateau
         worse = p_infinity_exact(dec_cache(10), NoiseParams(0.02), stop_tol=1e-10)
         assert worse > p_inf
+
+    def test_exact_long_run_pinned(self, dec_cache):
+        # N = 40, J/Gamma = 50 K ns: the damped greedy run goes on until a step
+        # succeeds with less than 1e-12, and its plateau must not drift
+        gamma = analysis.gamma_to_natural(50.0)
+        run = greedy_run(dec_cache(40), gamma=gamma, step_success_tol=1e-12, l_max=100_000)
+        assert len(run.records) == 174
+        assert run.records[-1].joint_failure == pytest.approx(0.06396281942012771, abs=1e-12)
+        state = run.state
+        assert state.total_success + state.norm_sq() + state.loss == pytest.approx(1.0, abs=1e-12)
+        p_inf = p_infinity_exact(dec_cache(40), NoiseParams(gamma), stop_tol=1e-12)
+        assert p_inf == pytest.approx(0.06396281942012771, abs=1e-12)
 
     def test_exact_requires_symmetric(self, dec_cache):
         with pytest.raises(ValueError, match="symmetric"):

@@ -85,6 +85,18 @@ class TestGreedy:
         with pytest.raises(ValueError, match="stop condition"):
             greedy_run(dec_cache(4))
 
+    def test_raises_when_target_not_reached(self, dec_cache):
+        with pytest.raises(ThresholdNotReached) as exc_info:
+            greedy_run(dec_cache(10), p_target=1e-6, l_max=2)
+        err = exc_info.value
+        assert (err.p_target, err.l_cap) == (1e-6, 2)
+        assert err.p_reached > 1e-6
+        assert err.total_time > 0
+
+    def test_rejects_negative_damping_rate(self, dec_cache):
+        with pytest.raises(ValueError, match="damping rate"):
+            greedy_run(dec_cache(10), l_max=20, gamma=-0.05)
+
     def test_damped_objective_penalizes_waiting(self, dec_cache):
         # with heavy damping the chosen intervals can only get shorter
         free = greedy_run(dec_cache(8), l_max=1)
