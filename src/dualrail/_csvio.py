@@ -23,7 +23,7 @@ def format_value(v) -> str:
     return str(v)
 
 
-def render_csv(columns, rows, metadata=None, timestamp: bool = True) -> str:
+def render_csv(columns, rows, metadata=None) -> str:
     data_lines = [",".join(columns)]
     for row in rows:
         data_lines.append(",".join(format_value(v) for v in row))
@@ -34,9 +34,8 @@ def render_csv(columns, rows, metadata=None, timestamp: bool = True) -> str:
     for key, value in (metadata or {}).items():
         header_lines.append(f"# {key}={format_value(value)}")
     header_lines.append(f"# digest=sha256:{digest}")
-    if timestamp:
-        now = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
-        header_lines.append(f"# generated={now}")
+    now = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+    header_lines.append(f"# generated={now}")
     return "\n".join(header_lines) + "\n" + data_section
 
 

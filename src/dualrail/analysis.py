@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._csvio import render_csv, write_text
+from ._csvio import render_csv
 from .chain_core import ChainSpec, build_sector_hamiltonian, diagonalize, first_peak
 from .noise import NoiseParams, p_infinity_estimate, p_infinity_exact
 from .scheduler import greedy_run
@@ -41,8 +41,8 @@ def ns_to_natural_time(t_ns: float, coupling_kelvin: float) -> float:
 
 def gamma_to_natural(j_over_gamma_kelvin_ns: float) -> float:
     """Damping rate in natural units from the figure parameter J/Gamma (K ns)."""
-    if j_over_gamma_kelvin_ns <= 0:
-        raise ValueError(f"J/Gamma must be positive, got {j_over_gamma_kelvin_ns}")
+    if not (math.isfinite(j_over_gamma_kelvin_ns) and j_over_gamma_kelvin_ns > 0):
+        raise ValueError(f"J/Gamma must be finite and positive, got {j_over_gamma_kelvin_ns}")
     return HBAR_OVER_KB_NS_K / j_over_gamma_kelvin_ns
 
 
@@ -170,12 +170,8 @@ class FigureDataset:
     columns: tuple
     rows: list
 
-    def to_csv(self, path=None) -> Optional[str]:
-        text = render_csv(self.columns, self.rows, metadata=self.metadata)
-        if path is None:
-            return text
-        write_text(path, text)
-        return None
+    def to_csv(self) -> str:
+        return render_csv(self.columns, self.rows, metadata=self.metadata)
 
 
 def reproduce_figure(fig_id: int, **params) -> FigureDataset:

@@ -114,11 +114,8 @@ def diagonalize(h: SectorHamiltonian) -> SpectralDecomposition:
     energies, modes = eigh_tridiagonal(h.diagonal, h.off_diagonal)
     # deterministic sign convention: first component with non-negligible
     # magnitude made positive
-    for k in range(modes.shape[1]):
-        col = modes[:, k]
-        lead = col[np.argmax(np.abs(col) > 1e-8)]
-        if lead < 0:
-            modes[:, k] = -col
+    lead = modes[np.argmax(np.abs(modes) > 1e-8, axis=0), np.arange(modes.shape[1])]
+    modes *= np.where(lead < 0, -1.0, 1.0)
     modes.setflags(write=False)
     energies.setflags(write=False)
     return SpectralDecomposition(energies=energies, modes=modes)
@@ -172,6 +169,32 @@ class PhaseGrid:
         return ((self._base * weights) @ self._inner).ravel()[: self.n_points]
 
 
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Golden-section maximization of f on [a, b] to interval width tol.
+
+    The one refine step of every grid scan here: ``first_peak`` and the greedy
+    scheduler's objective each pick their own grid candidates, then refine them
+    with this routine.
+    """
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
 def grid_transition_amplitudes(
     dec: SpectralDecomposition, r: int, s: int, t0: float, step: float, n_points: int
 ) -> np.ndarray:
@@ -190,19 +213,19 @@ def propagator_matrix(dec: SpectralDecomposition, tau: float) -> np.ndarray:
     return (dec.modes * phases) @ dec.modes.T
 
 
-def first_peak(dec: SpectralDecomposition, scan_step: float = 0.01) -> tuple[float, float]:
+def first_peak(dec: SpectralDecomposition) -> tuple[float, float]:
     """Location and height of the first-arrival maximum of |f_{N,1}(t)|^2.
 
-    Scans t in (0, 1.5*N/2] on a uniform grid and refines the largest local
-    maximum by parabolic interpolation.  The grid step (default 0.01 hbar/J)
-    is far below the O(1) width of magnon-bandwidth features.  The scan's
-    G = 75N points are evaluated through a factored PhaseGrid, so it holds
-    O(N * sqrt(G)) = O(N^1.5) memory, not a (G x N) table.
+    Scans t in (0, 1.5*N/2] on a uniform grid of step 0.01 hbar/J, far below
+    the O(1) width of magnon-bandwidth features, and refines the largest
+    interior local maximum by golden section within one step either side.
+    The scan's G = 75N points are evaluated through a factored PhaseGrid, so
+    it holds O(N * sqrt(G)) = O(N^1.5) memory, not a (G x N) table.
     """
     n = dec.n_sites
-    t_hi = 1.5 * n / 2.0
-    ts = np.arange(scan_step, t_hi + 0.5 * scan_step, scan_step)
-    p = np.abs(grid_transition_amplitudes(dec, n, 1, scan_step, scan_step, len(ts))) ** 2
+    step = 0.01
+    ts = np.arange(step, 1.5 * n / 2.0 + 0.5 * step, step)
+    p = np.abs(grid_transition_amplitudes(dec, n, 1, step, step, len(ts))) ** 2
 
     interior = np.arange(1, len(ts) - 1)
     is_max = (p[interior] >= p[interior - 1]) & (p[interior] > p[interior + 1])
@@ -212,11 +235,11 @@ def first_peak(dec: SpectralDecomposition, scan_step: float = 0.01) -> tuple[flo
         return float(ts[i]), float(p[i])
     i = int(candidates[np.argmax(p[candidates])])
 
-    # parabolic vertex through the three bracketing samples
-    denom = p[i - 1] - 2.0 * p[i] + p[i + 1]
-    if denom < 0:
-        t_ref = ts[i] + 0.5 * scan_step * (p[i - 1] - p[i + 1]) / denom
-        p_ref = abs(transition_amplitude(dec, n, 1, t_ref)) ** 2
-        if p_ref >= p[i]:
-            return float(t_ref), float(p_ref)
+    w = dec.modes[-1, :] * dec.modes[0, :]
+    phases = -1j * dec.energies
+    t_ref, p_ref = _golden_max(
+        lambda t: abs(w @ np.exp(phases * t)) ** 2, ts[i] - step, ts[i] + step, 1e-6
+    )
+    if p_ref >= p[i]:
+        return float(t_ref), float(p_ref)
     return float(ts[i]), float(p[i])

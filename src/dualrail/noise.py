@@ -55,13 +55,13 @@ class NoiseParams:
         return self.gamma_1
 
 
-def p_infinity_estimate(n_sites: int, gamma: float, l_terms: int = 10_000) -> float:
+def p_infinity_estimate(n_sites: int, gamma: float) -> float:
     """Truncated product estimate of the limiting joint failure probability.
 
     P_inf ~ prod_{l>=1} (1 - 1.35 N^{-2/3} exp(-2 Gamma N l)) with measurement
     times t(l) = N l.  The truncation error of log P is bounded by the
-    geometric tail sum 1.35 N^{-2/3} q^{l_terms+1} / (1 - q), q = exp(-2 Gamma N),
-    which is negligible for the default 10^4 terms at any gamma of interest.
+    geometric tail sum 1.35 N^{-2/3} q^{L+1} / (1 - q), q = exp(-2 Gamma N),
+    which is negligible for the L = 10^4 terms taken at any gamma of interest.
 
     The product does not approximate ``p_infinity_exact``.  It uses the amplitude law's constant 1.35 with the
     probability exponent -2/3 as the per-step success probability (the
@@ -70,13 +70,13 @@ def p_infinity_estimate(n_sites: int, gamma: float, l_terms: int = 10_000) -> fl
     that has already decayed.  At N = 40, J/Gamma = 50 it gives 6.31e-5
     against an exact greedy plateau of 6.40e-2, about 1000x lower.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     if gamma == 0.0:
         return 0.0
     peak = 1.35 * n_sites ** (-2.0 / 3.0)
     q = math.exp(-2.0 * gamma * n_sites)
-    ls = np.arange(1, l_terms + 1)
+    ls = np.arange(1, 10_001)
     factors = 1.0 - peak * q**ls
     if np.any(factors <= 0):
         return 0.0
@@ -88,7 +88,6 @@ def p_infinity_exact(
     noise: NoiseParams,
     stop_tol: float = 1e-12,
     l_cap: int = 100_000,
-    **greedy_options,
 ) -> float:
     """Plateau of P(l) under symmetric damping with greedy scheduling.
 
@@ -99,13 +98,7 @@ def p_infinity_exact(
         raise ValueError("p_infinity_exact requires symmetric damping")
     from .scheduler import greedy_run
 
-    run = greedy_run(
-        dec,
-        gamma=noise.gamma,
-        step_success_tol=stop_tol,
-        l_max=l_cap,
-        **greedy_options,
-    )
+    run = greedy_run(dec, gamma=noise.gamma, step_success_tol=stop_tol, l_max=l_cap)
     return float(run.records[-1].joint_failure)
 
 

@@ -17,7 +17,6 @@ Conventions (used everywhere in this module):
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -180,8 +179,10 @@ def dual_rail_protocol_full(
     if n > MAX_DUAL_RAIL_SITES:
         raise ValueError(f"dual-rail oracle capped at {MAX_DUAL_RAIL_SITES} sites, got {n}")
     intervals = np.asarray(schedule if not hasattr(schedule, "intervals") else schedule.intervals, dtype=float)
-    if intervals.size == 0 or np.any(intervals <= 0):
-        raise ValueError("schedule must be non-empty with positive intervals")
+    if intervals.size == 0 or not np.all(np.isfinite(intervals) & (intervals > 0)):
+        raise ValueError("schedule must be non-empty with finite positive intervals")
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"damping rate must be finite and >= 0, got {gamma}")
 
     dim = 1 << n
     h = full_hamiltonian(spec)
@@ -491,9 +492,3 @@ def conformance_report(
         "seed": seed,
         "inject_sign_error": inject_sign_error,
     }
-
-
-def write_report(report: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")

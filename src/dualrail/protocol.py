@@ -27,15 +27,47 @@ decayed population stays inside P(l).
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .chain_core import SpectralDecomposition
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Ordered positive inter-measurement intervals, natural time units."""
+
+    intervals: np.ndarray
+
+    def __post_init__(self) -> None:
+        intervals = np.asarray(self.intervals, dtype=float)
+        if intervals.ndim != 1 or intervals.size == 0:
+            raise ValueError("schedule needs a non-empty 1-d interval list")
+        if not np.all(np.isfinite(intervals) & (intervals > 0)):
+            raise ValueError("all intervals must be finite and strictly positive")
+        object.__setattr__(self, "intervals", intervals)
+
+    def __len__(self) -> int:
+        return len(self.intervals)
+
+    @property
+    def absolute_times(self) -> np.ndarray:
+        return np.cumsum(self.intervals)
+
+    def to_json(self) -> str:
+        return json.dumps({"intervals": list(self.intervals)}, indent=2)
+
+    @classmethod
+    def from_json(cls, path) -> "Schedule":
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict) or "intervals" not in payload:
+            raise ValueError(f"schedule file {path} must hold an object with 'intervals'")
+        return cls(intervals=np.asarray(payload["intervals"], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -156,7 +188,11 @@ def measure(state: DualRailState) -> tuple[float, DualRailState]:
 
 @dataclass
 class ProtocolResult:
-    """Full P(l) trajectory of one protocol run plus the final state."""
+    """Output of one protocol run, however its intervals were chosen.
+
+    The records hold the measurement times and P(l) after each measurement;
+    ``state`` is the final failure branch.
+    """
 
     records: list
     state: DualRailState
@@ -169,45 +205,10 @@ class ProtocolResult:
     def p_trajectory(self) -> np.ndarray:
         return np.array([r.joint_failure for r in self.records])
 
-    def to_csv(self, path=None) -> Optional[str]:
-        from ._csvio import render_csv, write_text
-
-        rows = [
-            (r.index, r.interval, r.absolute_time, r.step_success, r.joint_failure)
-            for r in self.records
-        ]
-        text = render_csv(
-            columns=("l", "tau_l", "t_abs", "step_success", "P_l"),
-            rows=rows,
-            metadata={"n_sites": self.state.n_sites},
-        )
-        if path is None:
-            return text
-        write_text(path, text)
-        return None
-
-    def to_json(self, path=None) -> Optional[str]:
-        payload = {
-            "n_sites": self.state.n_sites,
-            "total_success": self.state.total_success,
-            "loss": self.state.loss,
-            "records": [
-                {
-                    "l": r.index,
-                    "tau_l": r.interval,
-                    "t_abs": r.absolute_time,
-                    "step_success": r.step_success,
-                    "P_l": r.joint_failure,
-                }
-                for r in self.records
-            ],
-        }
-        text = json.dumps(payload, indent=2)
-        if path is None:
-            return text
-        with io.open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        return None
+    @property
+    def schedule(self) -> Schedule:
+        """The intervals this run waited, in measurement order."""
+        return Schedule(intervals=np.array([r.interval for r in self.records]))
 
 
 def run_schedule(

@@ -35,6 +35,9 @@ class TestUnitConversions:
             analysis.natural_time_to_ns(1.0, 0.0)
         with pytest.raises(ValueError):
             analysis.gamma_to_natural(-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="J/Gamma"):
+                analysis.gamma_to_natural(bad)
         with pytest.raises(ValueError):
             analysis.gamma_ns_to_natural(-0.1, 20.0)
 

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from dualrail.chain_core import (
     ChainSpec,
@@ -16,7 +17,7 @@ from dualrail.chain_core import (
     transition_amplitude,
     transition_amplitudes,
 )
-from dualrail.scheduler import _EndpointObjective, default_window
+from dualrail.scheduler import _EndpointObjective
 
 
 class TestChainSpec:
@@ -98,6 +99,17 @@ class TestDiagonalize:
             lead = col[np.argmax(np.abs(col) > 1e-8)]
             assert lead > 0
 
+    @pytest.mark.parametrize("n", [2, 8, 57, 300])
+    @pytest.mark.parametrize("delta, field", [(1.0, 0.0), (0.5, 0.3), (1.7, -0.2)])
+    def test_sign_flip_matches_column_loop(self, n, delta, field):
+        h = build_sector_hamiltonian(ChainSpec(n, anisotropy=delta, field=field))
+        _, expected = eigh_tridiagonal(h.diagonal, h.off_diagonal)
+        for k in range(n):
+            col = expected[:, k]
+            if col[np.argmax(np.abs(col) > 1e-8)] < 0:
+                expected[:, k] = -col
+        assert diagonalize(h).modes.tobytes() == expected.tobytes()
+
     def test_field_shifts_all_energies_equally(self):
         base = diagonalize(build_sector_hamiltonian(ChainSpec(5)))
         shifted = diagonalize(build_sector_hamiltonian(ChainSpec(5, field=0.7)))
@@ -171,7 +183,7 @@ class TestPhaseGrid:
         dec = dec_cache(1000)
         tracemalloc.start()
         try:
-            objective = _EndpointObjective(dec, default_window(1000), 0.05, 0.0)
+            objective = _EndpointObjective(dec, 0.0)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

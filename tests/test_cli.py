@@ -103,6 +103,15 @@ class TestProtocol:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("text", ["{}", "[1.0, 2.0]"])
+    def test_schedule_file_without_intervals_is_validation_error(self, capsys, tmp_path, text):
+        path = tmp_path / "sched.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "protocol", "--n", "20", "--schedule", str(path))
+        assert code == 2
+        assert out == ""
+        assert "intervals" in err
+
     @pytest.mark.parametrize("p_target", ["0", "-1", "1"])
     def test_p_target_outside_unit_interval_is_validation_error(self, capsys, p_target):
         code, out, err = run_cli(capsys, "protocol", "--n", "20", "--p-target", p_target)
@@ -147,6 +156,17 @@ class TestProtocol:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [(), ("--gamma", "0.01"), ("--schedule", "uniform"), ASYMMETRIC[4:]],
+        ids=["greedy", "damped-greedy", "uniform", "asymmetric"],
+    )
+    def test_no_measurements_is_validation_error(self, capsys, flags):
+        code, out, err = run_cli(capsys, "protocol", "--n", "20", *flags, "--l-max", "0")
+        assert code == 2
+        assert out == ""
+        assert "l_max" in err
+
     def test_p_target_needs_greedy(self, capsys):
         code, _, err = run_cli(
             capsys, "protocol", "--n", "4", "--schedule", "uniform", "--p-target", "0.1"
@@ -162,6 +182,26 @@ class TestOptimize:
         payload = json.loads(out)
         assert len(payload["intervals"]) == 2
         assert payload["intervals"][0] == pytest.approx(0.7853981, abs=1e-4)
+
+    def test_no_measurements_is_validation_error(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--n", "20", "--l-max", "0")
+        assert code == 2
+        assert out == ""
+        assert "l_max" in err
+
+    @pytest.mark.parametrize("n", ["20", "200"])
+    def test_replayed_schedule_reproduces_greedy_rows(self, capsys, tmp_path, n):
+        path = tmp_path / "sched.json"
+        assert run_cli(capsys, "optimize", "--n", n, "--out", str(path))[0] == 0
+        _, greedy, _ = run_cli(capsys, "protocol", "--n", n)
+        _, replay, _ = run_cli(capsys, "protocol", "--n", n, "--schedule", str(path))
+
+        def rows(text):
+            lines = text.splitlines()
+            return lines[lines.index("l,tau_l_natural,t_abs_natural,step_success,P_l"):]
+
+        assert len(rows(greedy)) == 21
+        assert rows(replay) == rows(greedy)
 
 
 class TestConfigMerge:

@@ -70,6 +70,11 @@ class TestPInfinity:
     def test_estimate_zero_gamma(self):
         assert p_infinity_estimate(20, 0.0) == 0.0
 
+    @pytest.mark.parametrize("gamma", [-0.01, math.nan, math.inf])
+    def test_estimate_rejects_bad_rate(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            p_infinity_estimate(20, gamma)
+
     def test_estimate_monotone_in_gamma(self):
         values = [p_infinity_estimate(20, g) for g in (0.001, 0.003, 0.01)]
         assert values[0] < values[1] < values[2]

@@ -1,5 +1,7 @@
 """Unit tests of the brute-force full-Hilbert-space validator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -52,8 +54,6 @@ class TestLogicalQubit:
 
 class TestDualRailProtocolFull:
     def test_two_site_perfect_transfer(self):
-        import math
-
         result = oracle.dual_rail_protocol_full(
             ChainSpec(2), oracle.LogicalQubit(0.6, 0.8j), [math.pi / 4]
         )
@@ -79,6 +79,18 @@ class TestDualRailProtocolFull:
         free = oracle.dual_rail_protocol_full(ChainSpec(3), qb, [2.0])
         damped = oracle.dual_rail_protocol_full(ChainSpec(3), qb, [2.0], gamma=0.1)
         assert damped.total_success < free.total_success
+
+    @pytest.mark.parametrize("schedule", [[math.nan, 1.0], [math.inf], [1.0, -2.0]])
+    def test_rejects_bad_intervals(self, schedule):
+        with pytest.raises(ValueError, match="finite positive"):
+            oracle.dual_rail_protocol_full(ChainSpec(3), oracle.LogicalQubit(0.6, 0.8j), schedule)
+
+    @pytest.mark.parametrize("gamma", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_damping_rate(self, gamma):
+        with pytest.raises(ValueError, match="damping rate"):
+            oracle.dual_rail_protocol_full(
+                ChainSpec(3), oracle.LogicalQubit(0.6, 0.8j), [1.0], gamma=gamma
+            )
 
     def test_size_cap(self):
         with pytest.raises(ValueError, match="capped"):
@@ -123,10 +135,3 @@ class TestConformanceReport:
         assert not report["passed"]
         by_name = {c["check"]: c for c in report["checks"]}
         assert not by_name["sector_block_equivalence"]["passed"]
-
-    def test_write_report(self, tmp_path):
-        import json
-
-        path = tmp_path / "report.json"
-        oracle.write_report({"passed": True, "checks": []}, path)
-        assert json.loads(path.read_text())["passed"] is True

@@ -1,6 +1,5 @@
 """Unit tests of the reduced protocol: measurement bookkeeping and invariants."""
 
-import json
 import math
 
 import numpy as np
@@ -103,25 +102,10 @@ class TestRunSchedule:
             with pytest.raises(ValueError, match="finite"):
                 protocol.run_schedule(dec, [bad, 1.0])
 
-    def test_to_json_round_trip(self, dec_cache, tmp_path):
+    def test_schedule_is_the_intervals_waited(self, dec_cache):
         result = protocol.run_schedule(dec_cache(4), [2.0, 3.0])
-        path = tmp_path / "run.json"
-        result.to_json(path)
-        payload = json.loads(path.read_text())
-        assert payload["n_sites"] == 4
-        assert len(payload["records"]) == 2
-        assert payload["records"][1]["P_l"] == pytest.approx(
-            result.records[1].joint_failure
-        )
-
-    def test_to_csv_has_header_and_digest(self, dec_cache):
-        text = protocol.run_schedule(dec_cache(4), [2.0, 3.0]).to_csv()
-        lines = text.splitlines()
-        assert any(line.startswith("# digest=sha256:") for line in lines)
-        assert "l,tau_l,t_abs,step_success,P_l" in lines
-        # two data rows after the column header
-        header_at = lines.index("l,tau_l,t_abs,step_success,P_l")
-        assert len(lines) - header_at - 1 == 2
+        assert isinstance(result.schedule, Schedule)
+        assert result.schedule.intervals.tolist() == [2.0, 3.0]
 
 
 def site_basis_failures(dec, taus, gamma):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualrail import protocol
 from dualrail.scheduler import (
@@ -12,7 +14,6 @@ from dualrail.scheduler import (
     default_window,
     greedy_optimize,
     greedy_run,
-    time_to_failure_threshold,
     uniform_schedule,
 )
 
@@ -35,9 +36,24 @@ class TestSchedule:
     def test_json_round_trip(self, tmp_path):
         sched = Schedule(intervals=np.array([0.25, 1.75]))
         path = tmp_path / "sched.json"
-        sched.to_json(path)
+        path.write_text(sched.to_json())
         again = Schedule.from_json(path)
         np.testing.assert_allclose(again.intervals, sched.intervals)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_json_file_round_trip_is_bit_exact(self, tmp_path_factory, intervals):
+        sched = Schedule(intervals=np.array(intervals))
+        path = tmp_path_factory.getbasetemp() / "round-trip.json"
+        path.write_text(sched.to_json())
+        again = Schedule.from_json(path)
+        assert again.intervals.tobytes() == sched.intervals.tobytes()
 
     def test_uniform_schedule(self):
         sched = uniform_schedule(12, 5)
@@ -85,6 +101,13 @@ class TestGreedy:
         with pytest.raises(ValueError, match="stop condition"):
             greedy_run(dec_cache(4))
 
+    @pytest.mark.parametrize("l_max", [0, -3])
+    def test_rejects_no_measurements(self, dec_cache, l_max):
+        with pytest.raises(ValueError, match="l_max"):
+            greedy_run(dec_cache(4), l_max=l_max)
+        with pytest.raises(ValueError, match="l_max"):
+            greedy_optimize(dec_cache(4), l_max=l_max)
+
     def test_raises_when_target_not_reached(self, dec_cache):
         with pytest.raises(ThresholdNotReached) as exc_info:
             greedy_run(dec_cache(10), p_target=1e-6, l_max=2)
@@ -110,24 +133,3 @@ class TestGreedy:
         np.testing.assert_allclose(
             run.p_trajectory, replay.p_trajectory, atol=1e-12
         )
-
-
-class TestTimeToThreshold:
-    def test_returns_crossing(self, dec_cache):
-        total_time, l_used = time_to_failure_threshold(dec_cache(8), 1e-2)
-        assert total_time > 0
-        assert 1 <= l_used
-        run = greedy_run(dec_cache(8), l_max=l_used)
-        assert run.records[-1].joint_failure <= 1e-2
-
-    def test_raises_when_cap_too_small(self, dec_cache):
-        with pytest.raises(ThresholdNotReached) as exc_info:
-            time_to_failure_threshold(dec_cache(10), 1e-6, l_cap=2)
-        err = exc_info.value
-        assert err.p_target == 1e-6
-        assert err.l_cap == 2
-        assert err.p_reached > 1e-6
-
-    def test_validates_target(self, dec_cache):
-        with pytest.raises(ValueError, match="p_target"):
-            time_to_failure_threshold(dec_cache(4), 1.5)
