@@ -23,10 +23,13 @@ symmetric tridiagonal matrix: off-diagonal -2J, diagonal
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+
+_PHYSICAL_MEMORY_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,9 @@ class ChainSpec:
     field : uniform z-field B.  Shifts all sector energies by the same
         amount, so it changes no transfer probability; kept as a parameter
         to document robustness, default 0.
+
+    A chain whose N x N float64 eigenvector matrix (8 N^2 bytes) would not
+    fit in physical memory is rejected here, before anything allocates it.
     """
 
     n_sites: int
@@ -51,6 +57,11 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if self.n_sites < 2:
             raise ValueError(f"n_sites must be >= 2, got {self.n_sites}")
+        if 8 * self.n_sites**2 > _PHYSICAL_MEMORY_BYTES:
+            raise ValueError(
+                f"n_sites={self.n_sites} needs {8 * self.n_sites**2 / 1e9:.3g} GB of eigenvectors, "
+                f"more than the {_PHYSICAL_MEMORY_BYTES / 1e9:.3g} GB of physical memory"
+            )
         if not (math.isfinite(self.coupling) and self.coupling > 0):
             raise ValueError(f"coupling must be finite and positive, got {self.coupling}")
         if not (math.isfinite(self.anisotropy) and math.isfinite(self.field)):
@@ -65,10 +76,6 @@ class SectorHamiltonian:
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return len(self.diagonal)
 
     def to_dense(self) -> np.ndarray:
         h = np.diag(self.diagonal)

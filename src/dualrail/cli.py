@@ -293,7 +293,7 @@ def main(argv=None) -> int:
     except ThresholdNotReached as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_THRESHOLD
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -32,6 +32,11 @@ class TestChainSpec:
         with pytest.raises(ValueError, match="n_sites"):
             ChainSpec(n)
 
+    def test_rejects_chain_too_large_for_memory(self):
+        # 8 N^2 bytes of eigenvectors at N = 10^7 is 800 TB
+        with pytest.raises(ValueError, match="physical memory"):
+            ChainSpec(10**7)
+
     def test_rejects_nonpositive_coupling(self):
         with pytest.raises(ValueError, match="coupling"):
             ChainSpec(4, coupling=0.0)

@@ -1,8 +1,13 @@
 """Unit tests of the command-line interface: commands, config merge, exit codes."""
 
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualrail import analysis, cli
 from dualrail.chain_core import ChainSpec, build_sector_hamiltonian, diagonalize
@@ -167,6 +172,12 @@ class TestProtocol:
         assert out == ""
         assert "l_max" in err
 
+    def test_chain_too_large_for_memory_is_validation_error(self, capsys):
+        code, out, err = run_cli(capsys, "protocol", "--n", "10000000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "physical memory" in err
+
     def test_p_target_needs_greedy(self, capsys):
         code, _, err = run_cli(
             capsys, "protocol", "--n", "4", "--schedule", "uniform", "--p-target", "0.1"
@@ -231,6 +242,58 @@ class TestConfigMerge:
     def test_missing_config_file(self, capsys):
         code, _, _ = run_cli(capsys, "optimize", "--config", "/nonexistent.json", "--n", "2")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv,config",
+        [
+            (("protocol",), {"n": [5]}),
+            (("protocol",), {"n": None}),
+            (("protocol",), {"n": 20, "l_max": None}),
+            (("protocol",), {"n": 20, "gamma": [1]}),
+            (("fit", "--fit", "peak"), {"n_values": 5}),
+        ],
+        ids=["n-list", "n-null", "l_max-null", "gamma-list", "n_values-int"],
+    )
+    def test_wrong_json_type_is_validation_error(self, capsys, tmp_path, argv, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
+_NAN, _INF = math.nan, math.inf
+_HOSTILE_CONFIG = st.fixed_dictionaries(
+    {"n": st.sampled_from([-3, 0, 1, 2, 5, 12, 2.5, "x", None, [5], True, 10**7])},
+    optional={
+        "l_max": st.sampled_from([-1, 0, 1, 4, 2.5, "x", None]),
+        "gamma": st.sampled_from([_NAN, _INF, -_INF, -0.5, 0.0, 0.01, "x"]),
+        "p_target": st.sampled_from([_NAN, _INF, -_INF, -0.5, 0.0, 0.5, 1e-3, "x"]),
+        "schedule": st.sampled_from(["greedy", "uniform", "missing-schedule.json"]),
+        "dt": st.sampled_from([-1.0, 0.0, _NAN, _INF, 0.1, 3.0]),
+        "t_max": st.sampled_from([-1.0, 0.0, _NAN, _INF, 0.1, 3.0]),
+    },
+)
+
+
+class TestHostileConfig:
+    @settings(max_examples=200, deadline=None)
+    @given(command=st.sampled_from(["protocol", "amplitude", "optimize"]), config=_HOSTILE_CONFIG)
+    def test_fails_loudly_or_succeeds_cleanly(self, tmp_path_factory, command, config):
+        cfg = tmp_path_factory.mktemp("hostile") / "cfg.json"
+        if "schedule" in config and config["schedule"].endswith(".json"):
+            config["schedule"] = str(cfg.parent / config["schedule"])  # never created
+        cfg.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(cfg)])
+        assert code in (0, 2, 3), (code, err.getvalue())
+        if code == 0:
+            assert "nan" not in out.getvalue().lower()
+        else:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error:")
 
 
 class TestFit:

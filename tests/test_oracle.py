@@ -20,7 +20,51 @@ class TestBasisConventions:
         np.testing.assert_array_equal(counts, [0, 1, 1, 2, 1, 2, 2, 3])
 
 
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+_SY = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
+_SZ = np.array([[-1.0, 0.0], [0.0, 1.0]])
+
+
+def _op_at(op, site, n_sites):
+    """One-qubit operator at a site (1-based, site 1 most significant)."""
+    out = np.array([[1.0]])
+    for pos in range(1, n_sites + 1):
+        out = np.kron(out, op if pos == site else np.eye(2))
+    return out
+
+
+def reference_hamiltonian(spec, debug_flip_xy=False):
+    """Full 2^N Hamiltonian built from one-site Pauli products, complex throughout."""
+    n, j = spec.n_sites, spec.coupling
+    xy_sign = 1.0 if debug_flip_xy else -1.0
+    h = np.zeros((1 << n, 1 << n), dtype=complex)
+    for site in range(1, n):
+        h += xy_sign * j * (
+            _op_at(_SX, site, n) @ _op_at(_SX, site + 1, n)
+            + _op_at(_SY, site, n) @ _op_at(_SY, site + 1, n)
+        )
+        h += -j * spec.anisotropy * (_op_at(_SZ, site, n) @ _op_at(_SZ, site + 1, n))
+    for site in range(1, n + 1):
+        h += spec.field * _op_at(_SZ, site, n)
+    ground_energy = -j * spec.anisotropy * (n - 1) - spec.field * n
+    h -= ground_energy * np.eye(1 << n)
+    return h
+
+
 class TestFullHamiltonian:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize(
+        "coupling,anisotropy,field", [(1.0, 1.0, 0.0), (0.7, 0.5, -0.3), (2.3, -1.2, 0.4)]
+    )
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_matches_pauli_product_reference(self, n, coupling, anisotropy, field, flip):
+        spec = ChainSpec(n, coupling=coupling, anisotropy=anisotropy, field=field)
+        h = oracle.full_hamiltonian(spec, debug_flip_xy=flip)
+        ref = reference_hamiltonian(spec, debug_flip_xy=flip)
+        assert h.dtype == np.float64
+        assert not np.any(ref.imag)
+        assert np.array_equal(h, ref.real)
+
     def test_vacuum_at_zero_energy(self):
         h = oracle.full_hamiltonian(ChainSpec(4, anisotropy=0.8, field=0.3))
         assert abs(h[0, 0]) < 1e-12
@@ -71,8 +115,11 @@ class TestDualRailProtocolFull:
     def test_rail_amplitudes_symmetric(self):
         qb = oracle.LogicalQubit(0.6, 0.8j)
         result = oracle.dual_rail_protocol_full(ChainSpec(4), qb, [2.5])
-        c1, c2 = oracle.rail_amplitudes(result.final_state, 4, qb)
-        np.testing.assert_allclose(c1, c2, atol=1e-12)
+        # beta|n,vac> on rail 1 and alpha|vac,n> on rail 2 carry the same vector c
+        sites = [oracle.excitation_index(4, site) for site in range(1, 5)]
+        rail1 = result.final_state[sites, 0] / qb.beta
+        rail2 = result.final_state[0, sites] / qb.alpha
+        np.testing.assert_allclose(rail1, rail2, atol=1e-12)
 
     def test_damping_removes_norm(self):
         qb = oracle.LogicalQubit(0.6, 0.8j)
