@@ -16,7 +16,7 @@ from .chain_core import (
     transition_amplitude,
 )
 from .noise import NoiseParams
-from .protocol import DualRailState, MeasurementRecord, ProtocolResult, run_schedule
+from .protocol import DualRailState, MeasurementRecord, run_schedule
 from .scheduler import Schedule, ThresholdNotReached, greedy_optimize, uniform_schedule
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "NoiseParams",
     "DualRailState",
     "MeasurementRecord",
-    "ProtocolResult",
     "run_schedule",
     "Schedule",
     "ThresholdNotReached",

@@ -14,13 +14,7 @@ import io
 
 
 def format_value(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
+    return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
 def render_csv(columns, rows, metadata=None) -> str:

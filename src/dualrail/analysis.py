@@ -109,16 +109,14 @@ def fit_peak_scaling(n_values: Sequence[int]) -> PowerLawFit:
     return fit_power_law(ns, peaks)
 
 
-def failure_crossing_times(
-    n: int, p_targets: Sequence[float], l_cap: int = 2000
-) -> dict[float, float]:
+def failure_crossing_times(n: int, p_targets: Sequence[float]) -> dict[float, float]:
     """Absolute greedy-protocol time at which P(l) first crosses each target.
 
-    Raises ThresholdNotReached when ``l_cap`` measurements do not reach the
+    Raises ThresholdNotReached when 2000 measurements do not reach the
     smallest target.
     """
     targets = sorted(p_targets, reverse=True)
-    run = greedy_run(_decomposition(n), p_target=min(targets), l_max=l_cap)
+    run = greedy_run(_decomposition(n), p_target=min(targets), l_max=2000)
     out = {}
     for target in targets:
         rec = next(r for r in run.records if r.joint_failure <= target)
@@ -126,16 +124,25 @@ def failure_crossing_times(
     return out
 
 
-def fit_time_scaling(
-    n_values: Sequence[int],
-    p_values: Sequence[float],
-    l_cap: int = 2000,
-) -> PowerLawFit:
+def _crossing_fit(ns: Sequence[int], ps: Sequence[float]) -> tuple[dict, PowerLawFit]:
+    """Crossing times per chain length and their t = c * N^a * |ln P| fit.
+
+    The fit is a least-squares line through (ln N, ln t - ln|ln P|) over all
+    samples, in the order of ``ns`` then ``ps``.
+    """
+    times = {n: failure_crossing_times(n, ps) for n in ns}
+    fit = fit_power_law(
+        [n for n in ns for _ in ps],
+        [times[n][p] / abs(math.log(p)) for n in ns for p in ps],
+    )
+    return times, fit
+
+
+def fit_time_scaling(n_values: Sequence[int], p_values: Sequence[float]) -> PowerLawFit:
     """Fit t(N, P) = c * N^a * |ln P| from greedy transfer-time data.
 
     One incremental greedy run per chain length supplies the crossing times
-    of every failure target; the fit is a least-squares line through
-    (ln N, ln t - ln|ln P|) over all samples.
+    of every failure target.
     """
     ns = sorted(set(int(n) for n in n_values))
     ps = sorted(set(float(p) for p in p_values), reverse=True)
@@ -143,13 +150,7 @@ def fit_time_scaling(
         raise ValueError(f"need at least 4 chain lengths, got {len(ns)}")
     if max(ps) / min(ps) < 100.0:
         raise ValueError("failure targets must span at least two decades")
-    xs, ys = [], []
-    for n in ns:
-        times = failure_crossing_times(n, ps, l_cap=l_cap)
-        for p in ps:
-            xs.append(n)
-            ys.append(times[p] / abs(math.log(p)))
-    return fit_power_law(xs, ys)
+    return _crossing_fit(ns, ps)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +158,12 @@ def fit_time_scaling(
 # ---------------------------------------------------------------------------
 
 FIG2_N_SET = (10, 20, 50, 100)
+FIG2_L_MAX = 50
 FIG3_N_SET = (10, 15, 20, 30, 40)
 FIG3_P_SET = (0.1, 0.01, 0.001)
 FIG4_N_SET = (10, 20, 30, 40)
 FIG4_J_OVER_GAMMA_SET = (10.0, 20.0, 50.0, 100.0)
+FIG4_STOP_TOL = 1e-10
 
 
 @dataclass
@@ -174,7 +177,7 @@ class FigureDataset:
         return render_csv(self.columns, self.rows, metadata=self.metadata)
 
 
-def reproduce_figure(fig_id: int, **params) -> FigureDataset:
+def reproduce_figure(fig_id: int) -> FigureDataset:
     """Deterministic dataset behind one of the paper-style figures.
 
     fig 2: joint failure P(l) vs measurement count for several chain lengths
@@ -185,67 +188,52 @@ def reproduce_figure(fig_id: int, **params) -> FigureDataset:
            vs truncated product estimate; columns N, J_over_Gamma_K_ns,
            P_inf_exact, P_inf_estimate.
 
-    The paper does not state its figure grids; the N and J/Gamma sets used
-    here are artifact choices recorded in the dataset metadata.
+    The paper does not state its figure grids; the ``FIG*`` sets used here
+    are artifact choices recorded in the dataset metadata.
     """
     if fig_id == 2:
-        n_set = tuple(params.get("n_set", FIG2_N_SET))
-        l_max = int(params.get("l_max", 50))
         rows = [
             (n, r.index, r.joint_failure)
-            for n in n_set
-            for r in greedy_run(_decomposition(n), l_max=l_max).records
+            for n in FIG2_N_SET
+            for r in greedy_run(_decomposition(n), l_max=FIG2_L_MAX).records
         ]
         return FigureDataset(
             figure=2,
-            metadata={"fig": 2, "n_set": " ".join(map(str, n_set)), "l_max": l_max,
+            metadata={"fig": 2, "n_set": " ".join(map(str, FIG2_N_SET)), "l_max": FIG2_L_MAX,
                       "schedule": "greedy"},
             columns=("N", "l", "P_l"),
             rows=rows,
         )
 
     if fig_id == 3:
-        n_set = tuple(params.get("n_set", FIG3_N_SET))
-        p_set = tuple(params.get("p_set", FIG3_P_SET))
-        l_cap = int(params.get("l_cap", 2000))
-        times = {n: failure_crossing_times(n, p_set, l_cap) for n in n_set}
-        fit = fit_power_law(
-            [n for n in n_set for _ in p_set],
-            [times[n][p] / abs(math.log(p)) for n in n_set for p in p_set],
-        )
+        times, fit = _crossing_fit(FIG3_N_SET, FIG3_P_SET)
         rows = [
-            (n, p, times[n][p], fit.prefactor * n**fit.exponent * abs(math.log(p)))
-            for n in n_set
-            for p in sorted(p_set, reverse=True)
+            (n, p, times[n][p], fit.evaluate(n) * abs(math.log(p)))
+            for n in FIG3_N_SET
+            for p in sorted(FIG3_P_SET, reverse=True)
         ]
         return FigureDataset(
             figure=3,
-            metadata={"fig": 3, "n_set": " ".join(map(str, n_set)),
-                      "p_set": " ".join(map(str, p_set)),
+            metadata={"fig": 3, "n_set": " ".join(map(str, FIG3_N_SET)),
+                      "p_set": " ".join(map(str, FIG3_P_SET)),
                       "fit_prefactor": fit.prefactor, "fit_exponent": fit.exponent},
             columns=("N", "P", "t_natural", "t_fit"),
             rows=rows,
         )
 
     if fig_id == 4:
-        n_set = tuple(params.get("n_set", FIG4_N_SET))
-        jg_set = tuple(params.get("j_over_gamma_set", FIG4_J_OVER_GAMMA_SET))
-        stop_tol = float(params.get("stop_tol", 1e-10))
-        l_cap = int(params.get("l_cap", 50_000))
 
         def cell(n, jg):
             gamma = gamma_to_natural(jg)
-            exact = p_infinity_exact(
-                _decomposition(n), NoiseParams(gamma), stop_tol=stop_tol, l_cap=l_cap
-            )
+            exact = p_infinity_exact(_decomposition(n), NoiseParams(gamma), stop_tol=FIG4_STOP_TOL)
             return (n, jg, exact, p_infinity_estimate(n, gamma))
 
-        rows = [cell(n, jg) for n in n_set for jg in jg_set]
+        rows = [cell(n, jg) for n in FIG4_N_SET for jg in FIG4_J_OVER_GAMMA_SET]
         return FigureDataset(
             figure=4,
-            metadata={"fig": 4, "n_set": " ".join(map(str, n_set)),
-                      "j_over_gamma_set": " ".join(map(str, jg_set)),
-                      "stop_tol": stop_tol},
+            metadata={"fig": 4, "n_set": " ".join(map(str, FIG4_N_SET)),
+                      "j_over_gamma_set": " ".join(map(str, FIG4_J_OVER_GAMMA_SET)),
+                      "stop_tol": FIG4_STOP_TOL},
             columns=("N", "J_over_Gamma_K_ns", "P_inf_exact", "P_inf_estimate"),
             rows=rows,
         )

@@ -101,11 +101,18 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _integer(value, name: str) -> int:
+    """``value`` if it is an integer (a JSON integer, never a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _chain_spec(cfg: dict) -> ChainSpec:
     if "n" not in cfg:
         raise ValueError("chain length required (--n)")
     return ChainSpec(
-        n_sites=int(cfg["n"]),
+        n_sites=_integer(cfg["n"], "n"),
         anisotropy=float(cfg.get("delta", 1.0)),
         field=float(cfg.get("b_field", 0.0)),
     )
@@ -164,24 +171,13 @@ def _resolve_noise(cfg: dict):
     return None
 
 
-def _asymmetric_records(dec, noise: NoiseParams, schedule) -> list:
-    """Records of the balanced qubit's joint successes under unequal rail rates."""
-    records, total = [], 0.0
-    for step in asymmetric_run(dec, noise, schedule).steps:
-        total += step.joint_success
-        records.append(protocol.MeasurementRecord(
-            step.index, step.interval, step.absolute_time, step.joint_success, 1.0 - total
-        ))
-    return records
-
-
 def _cmd_protocol(cfg: dict) -> int:
     spec = _chain_spec(cfg)
     dec = diagonalize(build_sector_hamiltonian(spec))
     noise = _resolve_noise(cfg)
     asymmetric = noise is not None and not noise.symmetric
     source = str(cfg.get("schedule", "greedy"))
-    l_max = int(cfg.get("l_max", 20))
+    l_max = _integer(cfg.get("l_max", 20), "l_max")
     p_target = cfg.get("p_target")
     if p_target is not None and (source != "greedy" or asymmetric):
         raise ValueError("--p-target requires --schedule greedy and symmetric damping")
@@ -201,7 +197,7 @@ def _cmd_protocol(cfg: dict) -> int:
         else:
             schedule = Schedule.from_json(source)
         if asymmetric:
-            records = _asymmetric_records(dec, noise, schedule)
+            records = asymmetric_run(dec, noise, schedule).records
         else:
             records = protocol.run_schedule(dec, schedule, noise=noise).records
 
@@ -229,7 +225,7 @@ def _cmd_protocol(cfg: dict) -> int:
 def _cmd_optimize(cfg: dict) -> int:
     spec = _chain_spec(cfg)
     dec = diagonalize(build_sector_hamiltonian(spec))
-    schedule = greedy_optimize(dec, l_max=int(cfg.get("l_max", 20)))
+    schedule = greedy_optimize(dec, l_max=_integer(cfg.get("l_max", 20), "l_max"))
     text = schedule.to_json()
     _emit(text + "\n", cfg.get("out"))
     return EXIT_OK
@@ -237,13 +233,12 @@ def _cmd_optimize(cfg: dict) -> int:
 
 def _cmd_fit(cfg: dict) -> int:
     kind = cfg.get("fit", "peak")
+    default_ns = (20, 50, 100, 150, 200) if kind == "peak" else analysis.FIG3_N_SET
+    n_values = [_integer(n, "n_values entry") for n in cfg.get("n_values", default_ns)]
     if kind == "peak":
-        fit = analysis.fit_peak_scaling(cfg.get("n_values", (20, 50, 100, 150, 200)))
+        fit = analysis.fit_peak_scaling(n_values)
     elif kind == "time":
-        fit = analysis.fit_time_scaling(
-            cfg.get("n_values", analysis.FIG3_N_SET),
-            cfg.get("p_values", analysis.FIG3_P_SET),
-        )
+        fit = analysis.fit_time_scaling(n_values, cfg.get("p_values", analysis.FIG3_P_SET))
     else:
         raise ValueError(f"unknown fit kind {kind!r}")
     payload = {
@@ -260,7 +255,7 @@ def _cmd_fit(cfg: dict) -> int:
 def _cmd_figure(cfg: dict) -> int:
     if "fig" not in cfg:
         raise ValueError("figure id required (--fig 2|3|4)")
-    dataset = analysis.reproduce_figure(int(cfg["fig"]))
+    dataset = analysis.reproduce_figure(_integer(cfg["fig"], "fig"))
     _emit(dataset.to_csv(), cfg.get("out"))
     return EXIT_OK
 

@@ -12,7 +12,8 @@ state cost.
 Asymmetric rates keep one shared spatial vector (the rails are identical and
 the failure projection treats them symmetrically), so ``asymmetric_run``
 weights the step successes of the noiseless run by two scalar damping factors
-on the logical components.
+on the logical components.  It yields ordinary measurement records, each
+carrying the input qubit's joint success and its decoded fidelities.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import protocol
 from .chain_core import SpectralDecomposition
+from .scheduler import greedy_run
 
 
 @dataclass(frozen=True)
@@ -87,46 +89,43 @@ def p_infinity_exact(
     dec: SpectralDecomposition,
     noise: NoiseParams,
     stop_tol: float = 1e-12,
-    l_cap: int = 100_000,
 ) -> float:
     """Plateau of P(l) under symmetric damping with greedy scheduling.
 
     Runs the exact damped protocol until the joint per-step success falls
-    below ``stop_tol``; the missed tail of successes is O(stop_tol / (2 Gamma N)).
+    below ``stop_tol``, at most 100,000 steps; the missed tail of successes is
+    O(stop_tol / (2 Gamma N)).
     """
     if not noise.symmetric:
         raise ValueError("p_infinity_exact requires symmetric damping")
-    from .scheduler import greedy_run
-
-    run = greedy_run(dec, gamma=noise.gamma, step_success_tol=stop_tol, l_max=l_cap)
+    run = greedy_run(dec, gamma=noise.gamma, step_success_tol=stop_tol, l_max=100_000)
     return float(run.records[-1].joint_failure)
 
 
 @dataclass(frozen=True)
-class AsymmetricStep:
-    """Per-measurement statistics of a run with unequal rail damping."""
+class AsymmetricStep(protocol.MeasurementRecord):
+    """Measurement record of a run with unequal rail damping.
 
-    index: int
-    interval: float
-    absolute_time: float
-    joint_success: float
+    ``step_success`` is the input qubit's joint success and ``joint_failure``
+    is 1 minus the running total of those.
+    """
+
     fidelity: float
     worst_case_fidelity: float
 
 
 @dataclass
 class AsymmetricRunResult:
-    steps: list
+    records: list
     total_success: float
-    qubit: tuple
 
     @property
     def min_fidelity(self) -> float:
-        return min(s.fidelity for s in self.steps)
+        return min(r.fidelity for r in self.records)
 
     @property
     def min_worst_case_fidelity(self) -> float:
-        return min(s.worst_case_fidelity for s in self.steps)
+        return min(r.worst_case_fidelity for r in self.records)
 
 
 def asymmetric_run(
@@ -158,7 +157,7 @@ def asymmetric_run(
         raise ValueError("input qubit must be normalized")
     wa, wb = abs(alpha) ** 2, abs(beta) ** 2
 
-    steps = []
+    records = []
     total = 0.0
     for rec in protocol.run_schedule(dec, schedule).records:
         t = rec.absolute_time
@@ -166,17 +165,16 @@ def asymmetric_run(
         b = math.exp(-noise.gamma_1 * t)
         weight = wa * a * a + wb * b * b
         joint = weight * rec.step_success
-        fidelity = (wa * a + wb * b) ** 2 / weight if weight > 0 else 0.0
-        worst = (a + b) ** 2 / (2.0 * (a * a + b * b))
         total += joint
-        steps.append(
+        records.append(
             AsymmetricStep(
                 index=rec.index,
                 interval=rec.interval,
                 absolute_time=t,
-                joint_success=joint,
-                fidelity=fidelity,
-                worst_case_fidelity=worst,
+                step_success=joint,
+                joint_failure=1.0 - total,
+                fidelity=(wa * a + wb * b) ** 2 / weight if weight > 0 else 0.0,
+                worst_case_fidelity=(a + b) ** 2 / (2.0 * (a * a + b * b)),
             )
         )
-    return AsymmetricRunResult(steps=steps, total_success=total, qubit=(alpha, beta))
+    return AsymmetricRunResult(records=records, total_success=total)

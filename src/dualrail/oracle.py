@@ -24,7 +24,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import chain_core, protocol
+from .analysis import HBAR_OVER_KB_NS_K
 from .chain_core import ChainSpec, build_sector_hamiltonian
+from .noise import NoiseParams, asymmetric_run
+from .scheduler import greedy_optimize
 
 _SZ = np.array([[-1.0, 0.0], [0.0, 1.0]])  # sz|1> = +|1>
 # two-site terms in the basis |00>, |01>, |10>, |11> (left site most significant)
@@ -313,10 +317,6 @@ def conformance_report(inject_sign_error: bool = False) -> dict:
     sector-equivalence check; the check must then fail, demonstrating that
     the comparison has power.
     """
-    from . import chain_core, protocol
-    from .noise import NoiseParams, asymmetric_run
-    from .scheduler import greedy_optimize
-
     rng = np.random.default_rng(_REPORT_SEED)
     checks = []
 
@@ -426,8 +426,6 @@ def conformance_report(inject_sign_error: bool = False) -> dict:
     )
 
     # info: asymmetric-damping operating point of the paper's worked example
-    from .analysis import HBAR_OVER_KB_NS_K
-
     j_kelvin = 20.0
     g1 = (1.0 / 4.0) * HBAR_OVER_KB_NS_K / j_kelvin
     g2 = (1.0 / 4.2) * HBAR_OVER_KB_NS_K / j_kelvin

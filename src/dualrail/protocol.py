@@ -23,6 +23,10 @@ that total_success + ||c||^2 + loss = 1 at all times.
 
 Failure bookkeeping: P(l) = 1 - sum of the first l joint step successes, so
 decayed population stays inside P(l).
+
+A run returns its final ``DualRailState``: the failure branch plus the
+``MeasurementRecord`` of every measurement, from which its P(l) trajectory
+and the schedule it waited follow.
 """
 
 from __future__ import annotations
@@ -53,10 +57,6 @@ class Schedule:
 
     def __len__(self) -> int:
         return len(self.intervals)
-
-    @property
-    def absolute_times(self) -> np.ndarray:
-        return np.cumsum(self.intervals)
 
     def to_json(self) -> str:
         return json.dumps({"intervals": list(self.intervals)}, indent=2)
@@ -109,6 +109,15 @@ class DualRailState:
     @property
     def joint_failure(self) -> float:
         return 1.0 - self.total_success
+
+    @property
+    def p_trajectory(self) -> np.ndarray:
+        return np.array([r.joint_failure for r in self.records])
+
+    @property
+    def schedule(self) -> Schedule:
+        """The intervals this run waited, in measurement order."""
+        return Schedule(intervals=np.array([r.interval for r in self.records]))
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -186,36 +195,11 @@ def measure(state: DualRailState) -> tuple[float, DualRailState]:
     return step_success, state
 
 
-@dataclass
-class ProtocolResult:
-    """Output of one protocol run, however its intervals were chosen.
-
-    The records hold the measurement times and P(l) after each measurement;
-    ``state`` is the final failure branch.
-    """
-
-    records: list
-    state: DualRailState
-
-    @property
-    def total_success(self) -> float:
-        return self.state.total_success
-
-    @property
-    def p_trajectory(self) -> np.ndarray:
-        return np.array([r.joint_failure for r in self.records])
-
-    @property
-    def schedule(self) -> Schedule:
-        """The intervals this run waited, in measurement order."""
-        return Schedule(intervals=np.array([r.interval for r in self.records]))
-
-
 def run_schedule(
     dec: SpectralDecomposition,
     schedule: Union[Sequence[float], "object"],
     noise=None,
-) -> ProtocolResult:
+) -> DualRailState:
     """Alternate evolution and measurement for every interval of ``schedule``.
 
     ``schedule`` is anything with an ``intervals`` attribute (a Schedule) or a
@@ -229,4 +213,4 @@ def run_schedule(
     for tau in intervals:
         evolve(state, float(tau))
         measure(state)
-    return ProtocolResult(records=list(state.records), state=state)
+    return state

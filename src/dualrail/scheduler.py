@@ -22,7 +22,7 @@ import numpy as np
 
 from . import protocol
 from .chain_core import PhaseGrid, SpectralDecomposition, _golden_max
-from .protocol import ProtocolResult, Schedule
+from .protocol import DualRailState, Schedule
 
 _GRID_STEP = 0.05
 _REFINE_TOL = 1e-6
@@ -122,7 +122,7 @@ def greedy_run(
     p_target: Optional[float] = None,
     step_success_tol: Optional[float] = None,
     gamma: float = 0.0,
-) -> ProtocolResult:
+) -> DualRailState:
     """Run the protocol with greedily optimized intervals until a stop condition.
 
     Stop conditions (at least one required): ``l_max`` measurements done,
@@ -156,7 +156,7 @@ def greedy_run(
     last = state.records[-1]
     if p_target is not None and last.joint_failure > p_target:
         raise ThresholdNotReached(p_target, last.index, last.joint_failure, last.absolute_time)
-    return ProtocolResult(records=list(state.records), state=state)
+    return state
 
 
 def greedy_optimize(dec: SpectralDecomposition, l_max: int) -> Schedule:

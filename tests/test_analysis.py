@@ -95,8 +95,22 @@ class TestCrossingTimes:
 
 
 class TestFigureDatasets:
-    def test_fig2_structure(self):
-        ds = analysis.reproduce_figure(2, n_set=(4, 6), l_max=5)
+    @pytest.fixture
+    def small_grids(self, monkeypatch):
+        """Shrink the figure grids so each dataset builds in milliseconds."""
+        for name, value in (
+            ("FIG2_N_SET", (4, 6)),
+            ("FIG2_L_MAX", 5),
+            ("FIG3_N_SET", (6, 8, 10, 12)),
+            ("FIG3_P_SET", (0.2, 0.02, 0.002)),
+            ("FIG4_N_SET", (6, 8)),
+            ("FIG4_J_OVER_GAMMA_SET", (20.0, 50.0)),
+            ("FIG4_STOP_TOL", 1e-8),
+        ):
+            monkeypatch.setattr(analysis, name, value)
+
+    def test_fig2_structure(self, small_grids):
+        ds = analysis.reproduce_figure(2)
         assert ds.figure == 2
         assert ds.columns == ("N", "l", "P_l")
         assert len(ds.rows) == 10
@@ -105,16 +119,14 @@ class TestFigureDatasets:
             ps = [row[2] for row in ds.rows if row[0] == n]
             assert all(a >= b - 1e-15 for a, b in zip(ps, ps[1:]))
 
-    def test_fig3_structure(self):
-        ds = analysis.reproduce_figure(3, n_set=(6, 8, 10, 12), p_set=(0.2, 0.02, 0.002))
+    def test_fig3_structure(self, small_grids):
+        ds = analysis.reproduce_figure(3)
         assert ds.columns == ("N", "P", "t_natural", "t_fit")
         assert len(ds.rows) == 12
         assert "fit_exponent" in ds.metadata
 
-    def test_fig4_structure(self):
-        ds = analysis.reproduce_figure(
-            4, n_set=(6, 8), j_over_gamma_set=(20.0, 50.0), stop_tol=1e-8
-        )
+    def test_fig4_structure(self, small_grids):
+        ds = analysis.reproduce_figure(4)
         assert len(ds.rows) == 4
         for _, _, exact, estimate in ds.rows:
             assert 0.0 <= exact < 1.0
@@ -124,8 +136,10 @@ class TestFigureDatasets:
         with pytest.raises(ValueError, match="figure id"):
             analysis.reproduce_figure(7)
 
-    def test_csv_digest_deterministic(self):
-        a = analysis.reproduce_figure(2, n_set=(4,), l_max=3).to_csv()
-        b = analysis.reproduce_figure(2, n_set=(4,), l_max=3).to_csv()
+    def test_csv_digest_deterministic(self, monkeypatch):
+        monkeypatch.setattr(analysis, "FIG2_N_SET", (4,))
+        monkeypatch.setattr(analysis, "FIG2_L_MAX", 3)
+        a = analysis.reproduce_figure(2).to_csv()
+        b = analysis.reproduce_figure(2).to_csv()
         strip = lambda text: [l for l in text.splitlines() if not l.startswith("# generated=")]
         assert strip(a) == strip(b)

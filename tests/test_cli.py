@@ -144,9 +144,20 @@ class TestProtocol:
             gamma_1=analysis.gamma_ns_to_natural(0.25, 20.0),
             gamma_2=analysis.gamma_ns_to_natural(0.238, 20.0),
         )
-        expected = asymmetric_run(dec, noise, greedy_optimize(dec, 10)).total_success
+        run = asymmetric_run(dec, noise, greedy_optimize(dec, 10))
+        expected = run.total_success
         assert 1.0 - float(rows[-1][-1]) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.9659, abs=1e-4)
+        # each row is one of the run's records, field by field
+        for row, rec in zip(rows, run.records):
+            l, tau, tau_ns, t_abs, t_abs_ns, step, p_l = row
+            assert int(l) == rec.index
+            assert float(tau) == rec.interval
+            assert float(tau_ns) == analysis.natural_time_to_ns(rec.interval, 20.0)
+            assert float(t_abs) == rec.absolute_time
+            assert float(t_abs_ns) == analysis.natural_time_to_ns(rec.absolute_time, 20.0)
+            assert float(step) == rec.step_success
+            assert float(p_l) == rec.joint_failure
 
     def test_asymmetric_rates_reject_p_target(self, capsys):
         code, out, err = run_cli(capsys, "protocol", *self.ASYMMETRIC, "--p-target", "0.1")
@@ -251,8 +262,14 @@ class TestConfigMerge:
             (("protocol",), {"n": 20, "l_max": None}),
             (("protocol",), {"n": 20, "gamma": [1]}),
             (("fit", "--fit", "peak"), {"n_values": 5}),
+            (("protocol",), {"n": 2.5, "l_max": 1}),
+            (("protocol",), {"n": 20, "l_max": 2.9}),
+            (("protocol",), {"n": 20, "l_max": True}),
+            (("figure",), {"fig": 2.7}),
+            (("fit", "--fit", "peak"), {"n_values": [20.5, 50, 100, 150, 200]}),
         ],
-        ids=["n-list", "n-null", "l_max-null", "gamma-list", "n_values-int"],
+        ids=["n-list", "n-null", "l_max-null", "gamma-list", "n_values-int",
+             "n-float", "l_max-float", "l_max-bool", "fig-float", "n_values-float"],
     )
     def test_wrong_json_type_is_validation_error(self, capsys, tmp_path, argv, config):
         cfg = tmp_path / "cfg.json"

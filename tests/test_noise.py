@@ -34,8 +34,8 @@ class TestEvolveDamped:
     def test_amplitude_scaled_by_exp_gamma_tau(self, dec_cache):
         dec = dec_cache(5)
         gamma, tau = 0.07, 3.0
-        free = protocol.run_schedule(dec, [tau]).state
-        damped = protocol.run_schedule(dec, [tau], noise=NoiseParams(gamma)).state
+        free = protocol.run_schedule(dec, [tau])
+        damped = protocol.run_schedule(dec, [tau], noise=NoiseParams(gamma))
         np.testing.assert_allclose(
             damped.amplitudes, math.exp(-gamma * tau) * free.amplitudes, atol=1e-14
         )
@@ -45,7 +45,7 @@ class TestEvolveDamped:
         noise = NoiseParams(0.05)
         taus = (2.0, 3.5, 1.5)
         for l in range(1, len(taus) + 1):
-            state = protocol.run_schedule(dec, taus[:l], noise=noise).state
+            state = protocol.run_schedule(dec, taus[:l], noise=noise)
             assert state.total_success + state.norm_sq() + state.loss == pytest.approx(
                 1.0, abs=1e-12
             )
@@ -103,7 +103,7 @@ class TestPInfinity:
         run = greedy_run(dec_cache(40), gamma=gamma, step_success_tol=1e-12, l_max=100_000)
         assert len(run.records) == 174
         assert run.records[-1].joint_failure == pytest.approx(0.06396281942012771, abs=1e-12)
-        state = run.state
+        state = run
         assert state.total_success + state.norm_sq() + state.loss == pytest.approx(1.0, abs=1e-12)
         p_inf = p_infinity_exact(dec_cache(40), NoiseParams(gamma), stop_tol=1e-12)
         assert p_inf == pytest.approx(0.06396281942012771, abs=1e-12)
@@ -127,12 +127,16 @@ class TestAsymmetricRun:
         asym = asymmetric_run(dec, NoiseParams(gamma), schedule)
         sym = protocol.run_schedule(dec, schedule, noise=NoiseParams(gamma))
         assert asym.total_success == pytest.approx(sym.total_success, abs=1e-12)
+        assert len(asym.records) == len(sym.records)
+        for a, s in zip(asym.records, sym.records):
+            assert a.step_success == pytest.approx(s.step_success, abs=1e-14)
+            assert a.joint_failure == pytest.approx(s.joint_failure, abs=1e-14)
 
     def test_worst_case_formula(self, dec_cache):
         dec = dec_cache(6)
         noise = NoiseParams(gamma_1=0.04, gamma_2=0.01)
         result = asymmetric_run(dec, noise, [6.0, 6.0])
-        for step in result.steps:
+        for step in result.records:
             a = math.exp(-noise.gamma_2 * step.absolute_time)
             b = math.exp(-noise.gamma_1 * step.absolute_time)
             expected = (a + b) ** 2 / (2.0 * (a * a + b * b))
