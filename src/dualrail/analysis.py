@@ -34,11 +34,6 @@ def natural_time_to_ns(t_natural: float, coupling_kelvin: float) -> float:
     return t_natural * HBAR_OVER_KB_NS_K / coupling_kelvin
 
 
-def ns_to_natural_time(t_ns: float, coupling_kelvin: float) -> float:
-    _check_coupling(coupling_kelvin)
-    return t_ns * coupling_kelvin / HBAR_OVER_KB_NS_K
-
-
 def gamma_to_natural(j_over_gamma_kelvin_ns: float) -> float:
     """Damping rate in natural units from the figure parameter J/Gamma (K ns)."""
     if not (math.isfinite(j_over_gamma_kelvin_ns) and j_over_gamma_kelvin_ns > 0):
@@ -148,6 +143,8 @@ def fit_time_scaling(n_values: Sequence[int], p_values: Sequence[float]) -> Powe
     ps = sorted(set(float(p) for p in p_values), reverse=True)
     if len(ns) < 4:
         raise ValueError(f"need at least 4 chain lengths, got {len(ns)}")
+    if not all(0.0 < p < 1.0 for p in ps):
+        raise ValueError(f"failure targets must be finite and in (0, 1), got {list(p_values)}")
     if max(ps) / min(ps) < 100.0:
         raise ValueError("failure targets must span at least two decades")
     return _crossing_fit(ns, ps)[1]

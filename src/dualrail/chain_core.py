@@ -128,6 +128,22 @@ def diagonalize(h: SectorHamiltonian) -> SpectralDecomposition:
     return SpectralDecomposition(energies=energies, modes=modes)
 
 
+def time_scale(n_sites: int) -> float:
+    """Time scale T = N hbar/J of the uniform chain; every default time is a multiple of it.
+
+    The far end's first arrival (``first_peak``) lies between 0.25 T and 0.40 T:
+    0.393 T at N = 2, 0.306 T at N = 7, 0.278 T at N = 20 and 0.252 T at N = 1000.
+    It tends to T/4 because the fastest magnons, E_k = 4J(1 - cos k), cross 4
+    sites per hbar/J.  The defaults are:
+
+    * ``default_window``, the greedy search window: (0.05 T, 1.5 T);
+    * the ``uniform_schedule`` interval and the ``p_infinity_estimate`` spacing: T;
+    * the end of ``first_peak``'s scan: 0.75 T;
+    * the ``amplitude`` command's default ``--t-max``: 1.5 T.
+    """
+    return float(n_sites)
+
+
 def _check_site(dec: SpectralDecomposition, site: int) -> None:
     if not 1 <= site <= dec.n_sites:
         raise ValueError(f"site index {site} outside 1..{dec.n_sites}")
@@ -177,19 +193,20 @@ class PhaseGrid:
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_REFINE_TOL = 1e-6
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization of f on [a, b] to interval width tol.
+def _golden_max(f, a: float, b: float) -> tuple[float, float]:
+    """Golden-section maximization of f on [a, b] to interval width _REFINE_TOL.
 
     The one refine step of every grid scan here: ``first_peak`` and the greedy
     scheduler's objective each pick their own grid candidates, then refine them
-    with this routine.
+    with this routine to the same precision.
     """
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    while (b - a) > _REFINE_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
@@ -223,15 +240,15 @@ def propagator_matrix(dec: SpectralDecomposition, tau: float) -> np.ndarray:
 def first_peak(dec: SpectralDecomposition) -> tuple[float, float]:
     """Location and height of the first-arrival maximum of |f_{N,1}(t)|^2.
 
-    Scans t in (0, 1.5*N/2] on a uniform grid of step 0.01 hbar/J, far below
-    the O(1) width of magnon-bandwidth features, and refines the largest
+    Scans t in (0, 0.75 T], T = ``time_scale(N)``, at step 0.01 hbar/J, far
+    below the O(1) width of magnon-bandwidth features, and refines the largest
     interior local maximum by golden section within one step either side.
     The scan's G = 75N points are evaluated through a factored PhaseGrid, so
     it holds O(N * sqrt(G)) = O(N^1.5) memory, not a (G x N) table.
     """
     n = dec.n_sites
     step = 0.01
-    ts = np.arange(step, 1.5 * n / 2.0 + 0.5 * step, step)
+    ts = np.arange(step, 0.75 * time_scale(n) + 0.5 * step, step)
     p = np.abs(grid_transition_amplitudes(dec, n, 1, step, step, len(ts))) ** 2
 
     interior = np.arange(1, len(ts) - 1)
@@ -244,9 +261,7 @@ def first_peak(dec: SpectralDecomposition) -> tuple[float, float]:
 
     w = dec.modes[-1, :] * dec.modes[0, :]
     phases = -1j * dec.energies
-    t_ref, p_ref = _golden_max(
-        lambda t: abs(w @ np.exp(phases * t)) ** 2, ts[i] - step, ts[i] + step, 1e-6
-    )
+    t_ref, p_ref = _golden_max(lambda t: abs(w @ np.exp(phases * t)) ** 2, ts[i] - step, ts[i] + step)
     if p_ref >= p[i]:
         return float(t_ref), float(p_ref)
     return float(ts[i]), float(p[i])

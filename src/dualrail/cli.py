@@ -20,7 +20,8 @@ import numpy as np
 
 from . import analysis, oracle, protocol
 from ._csvio import render_csv, write_text
-from .chain_core import ChainSpec, build_sector_hamiltonian, diagonalize, grid_transition_amplitudes
+from .chain_core import (ChainSpec, build_sector_hamiltonian, diagonalize,
+                         grid_transition_amplitudes, time_scale)
 from .noise import NoiseParams, asymmetric_run
 from .scheduler import Schedule, ThresholdNotReached, greedy_optimize, greedy_run, uniform_schedule
 
@@ -138,7 +139,7 @@ def _cmd_amplitude(cfg: dict) -> int:
     spec = _chain_spec(cfg)
     dec = diagonalize(build_sector_hamiltonian(spec))
     dt = float(cfg.get("dt", 0.01))
-    t_max = float(cfg.get("t_max", 1.5 * spec.n_sites))
+    t_max = float(cfg.get("t_max", 1.5 * time_scale(spec.n_sites)))
     if not all(math.isfinite(x) and x > 0 for x in (dt, t_max)):
         raise ValueError("t grid needs finite positive --dt and --t-max")
     ts = np.arange(0.0, t_max + 0.5 * dt, dt)

@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import protocol
-from .chain_core import SpectralDecomposition
+from .chain_core import SpectralDecomposition, time_scale
 from .scheduler import greedy_run
 
 
@@ -60,9 +60,9 @@ class NoiseParams:
 def p_infinity_estimate(n_sites: int, gamma: float) -> float:
     """Truncated product estimate of the limiting joint failure probability.
 
-    P_inf ~ prod_{l>=1} (1 - 1.35 N^{-2/3} exp(-2 Gamma N l)) with measurement
-    times t(l) = N l.  The truncation error of log P is bounded by the
-    geometric tail sum 1.35 N^{-2/3} q^{L+1} / (1 - q), q = exp(-2 Gamma N),
+    P_inf ~ prod_{l>=1} (1 - 1.35 N^{-2/3} exp(-2 Gamma T l)) with measurement
+    times t(l) = T l, T = ``time_scale(N)``.  The truncation error of log P is
+    bounded by the geometric tail 1.35 N^{-2/3} q^{L+1} / (1 - q), q = exp(-2 Gamma T),
     which is negligible for the L = 10^4 terms taken at any gamma of interest.
 
     The product does not approximate ``p_infinity_exact``.  It uses the amplitude law's constant 1.35 with the
@@ -77,7 +77,7 @@ def p_infinity_estimate(n_sites: int, gamma: float) -> float:
     if gamma == 0.0:
         return 0.0
     peak = 1.35 * n_sites ** (-2.0 / 3.0)
-    q = math.exp(-2.0 * gamma * n_sites)
+    q = math.exp(-2.0 * gamma * time_scale(n_sites))
     ls = np.arange(1, 10_001)
     factors = 1.0 - peak * q**ls
     if np.any(factors <= 0):
@@ -94,7 +94,7 @@ def p_infinity_exact(
 
     Runs the exact damped protocol until the joint per-step success falls
     below ``stop_tol``, at most 100,000 steps; the missed tail of successes is
-    O(stop_tol / (2 Gamma N)).
+    O(stop_tol / (2 Gamma T)), T = ``time_scale(N)``.
     """
     if not noise.symmetric:
         raise ValueError("p_infinity_exact requires symmetric damping")

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import chain_core, protocol
-from .analysis import HBAR_OVER_KB_NS_K
+from .analysis import gamma_ns_to_natural
 from .chain_core import ChainSpec, build_sector_hamiltonian
 from .noise import NoiseParams, asymmetric_run
 from .scheduler import greedy_optimize
@@ -291,20 +291,9 @@ def dephasing_free_check(spec: ChainSpec, m: int) -> tuple[bool, dict]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ConformanceCheck:
-    name: str
-    max_deviation: float
-    tolerance: float
-    passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "check": self.name,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+def _check(name: str, max_deviation: float, tolerance: float, passed: bool) -> dict:
+    """One report entry.  ``passed`` is explicit: a detection check passes above tolerance."""
+    return {"check": name, "max_deviation": max_deviation, "tolerance": tolerance, "passed": passed}
 
 
 def conformance_report(inject_sign_error: bool = False) -> dict:
@@ -331,7 +320,7 @@ def conformance_report(inject_sign_error: bool = False) -> dict:
                 )
                 dense = build_sector_hamiltonian(spec).to_dense()
                 dev = max(dev, float(np.max(np.abs(block - dense))))
-    checks.append(ConformanceCheck("sector_block_equivalence", dev, 1e-12, dev < 1e-12))
+    checks.append(_check("sector_block_equivalence", dev, 1e-12, dev < 1e-12))
 
     # 2. transition amplitudes vs full 2^N evolution
     dev = 0.0
@@ -344,7 +333,7 @@ def conformance_report(inject_sign_error: bool = False) -> dict:
             f_red = chain_core.transition_amplitude(dec, r, s, float(t))
             f_full = full_transition_amplitude(spec, r, s, float(t))
             dev = max(dev, abs(f_red - f_full))
-    checks.append(ConformanceCheck("transition_amplitude_equivalence", dev, 1e-10, dev < 1e-10))
+    checks.append(_check("transition_amplitude_equivalence", dev, 1e-10, dev < 1e-10))
 
     # 3. reduced P(l) vs full dual-rail, three input qubits, 5-step schedules
     qubits = [
@@ -365,8 +354,8 @@ def conformance_report(inject_sign_error: bool = False) -> dict:
             for step in full.steps:
                 if step.step_success > 1e-12:
                     fid_dev = max(fid_dev, abs(step.decoded_fidelity - 1.0))
-    checks.append(ConformanceCheck("protocol_p_trajectory_equivalence", dev, 1e-9, dev < 1e-9))
-    checks.append(ConformanceCheck("conclusive_fidelity_noiseless", fid_dev, 1e-9, fid_dev < 1e-9))
+    checks.append(_check("protocol_p_trajectory_equivalence", dev, 1e-9, dev < 1e-9))
+    checks.append(_check("conclusive_fidelity_noiseless", fid_dev, 1e-9, fid_dev < 1e-9))
 
     # 4. conclusiveness under symmetric damping
     fid_dev = 0.0
@@ -379,7 +368,7 @@ def conformance_report(inject_sign_error: bool = False) -> dict:
             for step in full.steps:
                 if step.step_success > 1e-12:
                     fid_dev = max(fid_dev, abs(step.decoded_fidelity - 1.0))
-    checks.append(ConformanceCheck("conclusive_fidelity_damped", fid_dev, 1e-9, fid_dev < 1e-9))
+    checks.append(_check("conclusive_fidelity_damped", fid_dev, 1e-9, fid_dev < 1e-9))
 
     # 5. evolution never leaves the <= 1 excitation sectors (failure branch)
     dev = 0.0
@@ -390,7 +379,7 @@ def conformance_report(inject_sign_error: bool = False) -> dict:
         )
         weights = excitation_sector_weights(full.final_state, n)
         dev = max(dev, float(np.sum(weights[2:])))
-    checks.append(ConformanceCheck("excitation_conservation", dev, 1e-12, dev < 1e-12))
+    checks.append(_check("excitation_conservation", dev, 1e-12, dev < 1e-12))
 
     # 6. decoherence-free subspace: structure, invariance, counterexample power
     ok = True
@@ -398,7 +387,7 @@ def conformance_report(inject_sign_error: bool = False) -> dict:
         for m in range(1, n + 1):
             passed, _ = dephasing_free_check(ChainSpec(n), m)
             ok = ok and passed
-    checks.append(ConformanceCheck("dfs_structure", 0.0 if ok else 1.0, 0.5, ok))
+    checks.append(_check("dfs_structure", 0.0 if ok else 1.0, 0.5, ok))
 
     n = 4
     spec = ChainSpec(n)
@@ -414,21 +403,19 @@ def conformance_report(inject_sign_error: bool = False) -> dict:
         abs(s.decoded_fidelity - b.decoded_fidelity)
         for s, b in zip(collective.steps, base.steps)
     )
-    checks.append(ConformanceCheck("collective_dephasing_invariance", float(dev), 1e-12, dev < 1e-12))
+    checks.append(_check("collective_dephasing_invariance", float(dev), 1e-12, dev < 1e-12))
 
     local = dual_rail_protocol_full(
         spec, qb, schedule, dephasing=lambda p: rail_local_dephasing(p, phases, n)
     )
     worst = min(s.decoded_fidelity for s in local.steps if s.step_success > 1e-12)
     detected = worst < 1.0 - 1e-6
-    checks.append(
-        ConformanceCheck("rail_local_dephasing_detected", float(1.0 - worst), 1e-6, detected)
-    )
+    checks.append(_check("rail_local_dephasing_detected", float(1.0 - worst), 1e-6, detected))
 
     # info: asymmetric-damping operating point of the paper's worked example
     j_kelvin = 20.0
-    g1 = (1.0 / 4.0) * HBAR_OVER_KB_NS_K / j_kelvin
-    g2 = (1.0 / 4.2) * HBAR_OVER_KB_NS_K / j_kelvin
+    g1 = gamma_ns_to_natural(1.0 / 4.0, j_kelvin)
+    g2 = gamma_ns_to_natural(1.0 / 4.2, j_kelvin)
     spec20 = ChainSpec(20)
     dec20 = chain_core.diagonalize(build_sector_hamiltonian(spec20))
     sched = greedy_optimize(dec20, l_max=10)
@@ -440,8 +427,8 @@ def conformance_report(inject_sign_error: bool = False) -> dict:
     }
 
     return {
-        "passed": all(c.passed for c in checks),
-        "checks": [c.as_dict() for c in checks],
+        "passed": all(c["passed"] for c in checks),
+        "checks": checks,
         "info": info,
         "seed": _REPORT_SEED,
         "inject_sign_error": inject_sign_error,

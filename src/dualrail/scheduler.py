@@ -7,10 +7,9 @@ golden-section search.  This matches the sequential information structure of
 the protocol (the receiver picks the next waiting time only after seeing a
 failure) and is fully deterministic, with grid ties broken toward smaller tau.
 
-The search window is default_window(N) = (0.1 * N/2, 3 * N/2): significant
-amplitude peaks at the far end recur on the one-way transit scale N/2, so
-three transits bound the search without wasting scan time.  The grid step
-0.05 and the refine tolerance 1e-6 are fixed.
+The search window is default_window(N) = (0.05 T, 1.5 T) with
+T = chain_core.time_scale(N).  The grid step 0.05 is fixed; refinement stops
+at chain_core._REFINE_TOL.
 """
 
 from __future__ import annotations
@@ -21,11 +20,10 @@ from typing import Optional
 import numpy as np
 
 from . import protocol
-from .chain_core import PhaseGrid, SpectralDecomposition, _golden_max
+from .chain_core import PhaseGrid, SpectralDecomposition, _golden_max, time_scale
 from .protocol import DualRailState, Schedule
 
 _GRID_STEP = 0.05
-_REFINE_TOL = 1e-6
 
 
 class ThresholdNotReached(RuntimeError):
@@ -43,14 +41,15 @@ class ThresholdNotReached(RuntimeError):
 
 
 def uniform_schedule(n_sites: int, l_max: int) -> Schedule:
-    """Equal intervals of one round-trip time 2*tau_max = N (natural units)."""
+    """Equal intervals of one chain time scale T = ``time_scale(N)``."""
     if l_max < 1:
         raise ValueError(f"l_max must be >= 1, got {l_max}")
-    return Schedule(intervals=np.full(l_max, float(n_sites)))
+    return Schedule(intervals=np.full(l_max, time_scale(n_sites)))
 
 
 def default_window(n_sites: int) -> tuple[float, float]:
-    return 0.1 * n_sites / 2.0, 3.0 * n_sites / 2.0
+    t = time_scale(n_sites)
+    return 0.05 * t, 1.5 * t
 
 
 class _EndpointObjective:
@@ -99,7 +98,7 @@ class _EndpointObjective:
             tau_grid, val_grid = float(self.taus[j]), float(obj[j])
             a = max(self.window[0], tau_grid - _GRID_STEP)
             b = min(self.window[1], tau_grid + _GRID_STEP)
-            tau_ref, val_ref = _golden_max(f, a, b, _REFINE_TOL)
+            tau_ref, val_ref = _golden_max(f, a, b)
             # golden section assumes local unimodality; keep the raw grid
             # point whenever refinement did not actually improve
             if val_ref > val_grid:

@@ -9,11 +9,6 @@ from dualrail import analysis
 
 
 class TestUnitConversions:
-    def test_round_trip(self):
-        t = 123.4
-        ns = analysis.natural_time_to_ns(t, 20.0)
-        assert analysis.ns_to_natural_time(ns, 20.0) == pytest.approx(t, rel=1e-14)
-
     def test_one_natural_unit_at_one_kelvin(self):
         assert analysis.natural_time_to_ns(1.0, 1.0) == pytest.approx(
             analysis.HBAR_OVER_KB_NS_K
@@ -46,8 +41,6 @@ class TestUnitConversions:
         with pytest.raises(ValueError, match="coupling"):
             analysis.natural_time_to_ns(1.0, bad)
         with pytest.raises(ValueError, match="coupling"):
-            analysis.ns_to_natural_time(1.0, bad)
-        with pytest.raises(ValueError, match="coupling"):
             analysis.gamma_ns_to_natural(0.25, bad)
         with pytest.raises(ValueError, match="rate"):
             analysis.gamma_ns_to_natural(bad, 20.0)
@@ -75,11 +68,21 @@ class TestPowerLawFit:
         with pytest.raises(ValueError, match="N >= 20"):
             analysis.fit_peak_scaling([5, 20, 50, 100, 150])
 
-    def test_time_scaling_guards(self):
+    def test_time_scaling_guards(self, monkeypatch):
         with pytest.raises(ValueError, match="4 chain lengths"):
             analysis.fit_time_scaling([10, 20, 30], [0.1, 0.001])
         with pytest.raises(ValueError, match="two decades"):
             analysis.fit_time_scaling([10, 20, 30, 40], [0.1, 0.05])
+
+        # every target must be finite and in (0, 1), checked before any greedy run
+        def no_greedy(*args, **kwargs):
+            raise AssertionError("greedy run started before validation")
+
+        monkeypatch.setattr(analysis, "greedy_run", no_greedy)
+        for p_values in ([1.0, 0.01, 0.001], [0.1, 0.0], [True, 0.01, 0.001], [2.0, 0.01],
+                         [-0.5, 0.01], [math.nan, 0.01, 0.001], [math.inf, 0.01]):
+            with pytest.raises(ValueError, match=r"in \(0, 1\)"):
+                analysis.fit_time_scaling([4, 5, 6, 7], p_values)
 
 
 class TestCrossingTimes:

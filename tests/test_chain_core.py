@@ -14,6 +14,7 @@ from dualrail.chain_core import (
     first_peak,
     grid_transition_amplitudes,
     propagator_matrix,
+    time_scale,
     transition_amplitude,
     transition_amplitudes,
 )
@@ -230,3 +231,8 @@ class TestFirstPeak:
     def test_peak_height_decreases_with_length(self, dec_cache):
         heights = [first_peak(dec_cache(n))[1] for n in (10, 20, 40, 80)]
         assert all(a > b for a, b in zip(heights, heights[1:]))
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 20, 100, 1000])
+    def test_first_arrival_in_units_of_time_scale(self, dec_cache, n):
+        # the convention time_scale documents: 0.393 T at N = 2 down to 0.252 T at N = 1000
+        assert 0.25 < first_peak(dec_cache(n))[0] / time_scale(n) < 0.40

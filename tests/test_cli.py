@@ -4,13 +4,16 @@ import contextlib
 import io
 import json
 import math
+import pathlib
+import re
+import shlex
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualrail import analysis, cli
-from dualrail.chain_core import ChainSpec, build_sector_hamiltonian, diagonalize
+from dualrail.chain_core import ChainSpec, build_sector_hamiltonian, diagonalize, time_scale
 from dualrail.noise import NoiseParams, asymmetric_run
 from dualrail.scheduler import greedy_optimize
 
@@ -24,6 +27,14 @@ def run_cli(capsys, *argv):
 def data_section(text):
     """CSV lines with the non-reproducible timestamp header removed."""
     return [l for l in text.splitlines() if not l.startswith("# generated=")]
+
+
+def readme_commands():
+    """Arguments of every ``dualrail ...`` line in the README's sh blocks."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    return [shlex.split(line, comments=True)[1:]
+            for block in blocks for line in block.splitlines() if line.startswith("dualrail ")]
 
 
 class TestAmplitude:
@@ -64,6 +75,12 @@ class TestAmplitude:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_default_grid_ends_at_one_and_a_half_time_scales(self, capsys):
+        code, out, _ = run_cli(capsys, "amplitude", "--n", "7")
+        assert code == 0
+        last_t = float(data_section(out)[-1].split(",")[0])
+        assert last_t == pytest.approx(1.5 * time_scale(7), abs=1e-9)
 
     def test_writes_file(self, capsys, tmp_path):
         path = tmp_path / "amp.csv"
@@ -267,9 +284,14 @@ class TestConfigMerge:
             (("protocol",), {"n": 20, "l_max": True}),
             (("figure",), {"fig": 2.7}),
             (("fit", "--fit", "peak"), {"n_values": [20.5, 50, 100, 150, 200]}),
+            (("fit", "--fit", "time"), {"n_values": [4, 5, 6, 7], "p_values": [1.0, 0.01, 0.001]}),
+            (("fit", "--fit", "time"), {"n_values": [4, 5, 6, 7], "p_values": [0.1, 0.0]}),
+            (("fit", "--fit", "time"), {"n_values": [4, 5, 6, 7], "p_values": [True, 0.01, 0.001]}),
+            (("fit", "--fit", "time"), {"n_values": [4, 5, 6, 7], "p_values": [2.0, 0.01]}),
         ],
         ids=["n-list", "n-null", "l_max-null", "gamma-list", "n_values-int",
-             "n-float", "l_max-float", "l_max-bool", "fig-float", "n_values-float"],
+             "n-float", "l_max-float", "l_max-bool", "fig-float", "n_values-float",
+             "p_values-one", "p_values-zero", "p_values-bool", "p_values-above-one"],
     )
     def test_wrong_json_type_is_validation_error(self, capsys, tmp_path, argv, config):
         cfg = tmp_path / "cfg.json"
@@ -332,3 +354,14 @@ class TestFigure:
         _, first, _ = run_cli(capsys, "figure", "--fig", "2")
         _, second, _ = run_cli(capsys, "figure", "--fig", "2")
         assert data_section(first) == data_section(second)
+
+
+class TestReadmeExamples:
+    def test_examples_found(self):
+        assert len(readme_commands()) >= 12
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_example_runs(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)  # examples may write files such as schedule.json
+        code, _, err = run_cli(capsys, *argv)
+        assert code == (4 if "--inject-sign-error" in argv else 0), err
