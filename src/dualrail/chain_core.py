@@ -32,6 +32,15 @@ from scipy.linalg import eigh_tridiagonal
 _PHYSICAL_MEMORY_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def require_physical_memory(n_bytes: float, what: str) -> None:
+    """Raise ValueError when ``what``, sized before it is allocated, exceeds physical memory."""
+    if n_bytes > _PHYSICAL_MEMORY_BYTES:
+        raise ValueError(
+            f"{what} would take {n_bytes / 1e9:.3g} GB, "
+            f"more than the {_PHYSICAL_MEMORY_BYTES / 1e9:.3g} GB of physical memory"
+        )
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Physical definition of one open XXZ chain.
@@ -57,11 +66,7 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if self.n_sites < 2:
             raise ValueError(f"n_sites must be >= 2, got {self.n_sites}")
-        if 8 * self.n_sites**2 > _PHYSICAL_MEMORY_BYTES:
-            raise ValueError(
-                f"n_sites={self.n_sites} needs {8 * self.n_sites**2 / 1e9:.3g} GB of eigenvectors, "
-                f"more than the {_PHYSICAL_MEMORY_BYTES / 1e9:.3g} GB of physical memory"
-            )
+        require_physical_memory(8 * self.n_sites**2, f"the eigenvectors of n_sites={self.n_sites}")
         if not (math.isfinite(self.coupling) and self.coupling > 0):
             raise ValueError(f"coupling must be finite and positive, got {self.coupling}")
         if not (math.isfinite(self.anisotropy) and math.isfinite(self.field)):

@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis, oracle, protocol
 from ._csvio import render_csv, write_text
 from .chain_core import (ChainSpec, build_sector_hamiltonian, diagonalize,
-                         grid_transition_amplitudes, time_scale)
+                         grid_transition_amplitudes, require_physical_memory, time_scale)
 from .noise import NoiseParams, asymmetric_run
 from .scheduler import Schedule, ThresholdNotReached, greedy_optimize, greedy_run, uniform_schedule
 
@@ -29,6 +29,12 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_THRESHOLD = 3
 EXIT_CONFORMANCE = 4
+
+# Peak memory of one output row, run through rendered CSV, as peak-RSS growth on
+# CPython 3.11 (x86-64): 330 B per `amplitude` grid point at 10^6 points and
+# 657 B per `protocol` measurement at 10^6 uniform steps, rounded up.
+_AMPLITUDE_POINT_BYTES = 400
+_MEASUREMENT_BYTES = 700
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,6 +148,8 @@ def _cmd_amplitude(cfg: dict) -> int:
     t_max = float(cfg.get("t_max", 1.5 * time_scale(spec.n_sites)))
     if not all(math.isfinite(x) and x > 0 for x in (dt, t_max)):
         raise ValueError("t grid needs finite positive --dt and --t-max")
+    n_points = t_max // dt + 1
+    require_physical_memory(n_points * _AMPLITUDE_POINT_BYTES, f"a t grid of {n_points:.4g} points")
     ts = np.arange(0.0, t_max + 0.5 * dt, dt)
     probs = np.abs(grid_transition_amplitudes(dec, spec.n_sites, 1, 0.0, dt, len(ts))) ** 2
     ns_suffix, to_ns = _time_columns(cfg)
@@ -151,6 +159,13 @@ def _cmd_amplitude(cfg: dict) -> int:
             "b_field": spec.field}
     _emit(render_csv(columns, rows, meta), cfg.get("out"))
     return EXIT_OK
+
+
+def _l_max(cfg: dict) -> int:
+    """The measurement count, rejected before any run when its rows could not fit in memory."""
+    l_max = _integer(cfg.get("l_max", 20), "l_max")
+    require_physical_memory(l_max * _MEASUREMENT_BYTES, f"l_max={l_max} measurements")
+    return l_max
 
 
 def _resolve_noise(cfg: dict):
@@ -178,7 +193,7 @@ def _cmd_protocol(cfg: dict) -> int:
     noise = _resolve_noise(cfg)
     asymmetric = noise is not None and not noise.symmetric
     source = str(cfg.get("schedule", "greedy"))
-    l_max = _integer(cfg.get("l_max", 20), "l_max")
+    l_max = _l_max(cfg)
     p_target = cfg.get("p_target")
     if p_target is not None and (source != "greedy" or asymmetric):
         raise ValueError("--p-target requires --schedule greedy and symmetric damping")
@@ -226,7 +241,7 @@ def _cmd_protocol(cfg: dict) -> int:
 def _cmd_optimize(cfg: dict) -> int:
     spec = _chain_spec(cfg)
     dec = diagonalize(build_sector_hamiltonian(spec))
-    schedule = greedy_optimize(dec, l_max=_integer(cfg.get("l_max", 20), "l_max"))
+    schedule = greedy_optimize(dec, l_max=_l_max(cfg))
     text = schedule.to_json()
     _emit(text + "\n", cfg.get("out"))
     return EXIT_OK

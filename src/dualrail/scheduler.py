@@ -74,6 +74,20 @@ class _EndpointObjective:
         self._grid = PhaseGrid(dec.energies, t_lo, _GRID_STEP, n_pts)
         self._damp = np.exp(-2.0 * gamma * self.taus)
 
+    def refine_objective(self, w: np.ndarray):
+        """tau -> exp(-2*gamma*tau) * |sum(w * exp(-i E tau))|^2 for the golden refine.
+
+        The rates are hoisted out of the closure; each call does the same float
+        operations, in the same order, as the literal expression.
+        """
+        rates = -1j * self.dec.energies
+        decay = -2.0 * self.gamma
+
+        def f(tau: float) -> float:
+            return math.exp(decay * tau) * abs((w * np.exp(rates * tau)).sum()) ** 2
+
+        return f
+
     def best_tau(self, w: np.ndarray) -> float:
         obj = self._damp * np.abs(self._grid.sums(w)) ** 2
         best_grid = float(np.max(obj))
@@ -89,10 +103,7 @@ class _EndpointObjective:
         if candidates.size == 0:
             candidates = np.array([int(np.argmax(obj))])
 
-        def f(tau: float) -> float:
-            amp = np.sum(w * np.exp(-1j * self.dec.energies * tau))
-            return math.exp(-2.0 * self.gamma * tau) * abs(amp) ** 2
-
+        f = self.refine_objective(w)
         refined = []
         for j in candidates:
             tau_grid, val_grid = float(self.taus[j]), float(obj[j])

@@ -76,6 +76,13 @@ class TestAmplitude:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("grid", [("--t-max", "1e9"), ("--t-max", "10", "--dt", "1e-9")])
+    def test_grid_too_large_for_memory_is_validation_error(self, capsys, grid):
+        code, out, err = run_cli(capsys, "amplitude", "--n", "10", *grid)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "physical memory" in err
+
     def test_default_grid_ends_at_one_and_a_half_time_scales(self, capsys):
         code, out, _ = run_cli(capsys, "amplitude", "--n", "7")
         assert code == 0
@@ -206,6 +213,17 @@ class TestProtocol:
         assert out == ""
         assert err.startswith("error:") and "physical memory" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [(), ("--schedule", "uniform"), ("--p-target", "1e-3")],
+        ids=["greedy", "uniform", "p-target"],
+    )
+    def test_measurements_too_many_for_memory_is_validation_error(self, capsys, flags):
+        code, out, err = run_cli(capsys, "protocol", "--n", "20", *flags, "--l-max", "1000000000000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "physical memory" in err
+
     def test_p_target_needs_greedy(self, capsys):
         code, _, err = run_cli(
             capsys, "protocol", "--n", "4", "--schedule", "uniform", "--p-target", "0.1"
@@ -227,6 +245,12 @@ class TestOptimize:
         assert code == 2
         assert out == ""
         assert "l_max" in err
+
+    def test_intervals_too_many_for_memory_is_validation_error(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--n", "20", "--l-max", "1000000000000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "physical memory" in err
 
     @pytest.mark.parametrize("n", ["20", "200"])
     def test_replayed_schedule_reproduces_greedy_rows(self, capsys, tmp_path, n):

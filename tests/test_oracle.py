@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from dualrail import oracle
-from dualrail.chain_core import ChainSpec, build_sector_hamiltonian
+from dualrail.chain_core import (ChainSpec, build_sector_hamiltonian, diagonalize,
+                                 transition_amplitude)
 
 
 class TestBasisConventions:
@@ -52,7 +53,7 @@ def reference_hamiltonian(spec, debug_flip_xy=False):
 
 
 class TestFullHamiltonian:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", range(2, oracle.MAX_SINGLE_CHAIN_SITES + 1))
     @pytest.mark.parametrize(
         "coupling,anisotropy,field", [(1.0, 1.0, 0.0), (0.7, 0.5, -0.3), (2.3, -1.2, 0.4)]
     )
@@ -63,7 +64,8 @@ class TestFullHamiltonian:
         ref = reference_hamiltonian(spec, debug_flip_xy=flip)
         assert h.dtype == np.float64
         assert not np.any(ref.imag)
-        assert np.array_equal(h, ref.real)
+        # bytes, not values: signed zeros must match too
+        assert h.tobytes() == ref.real.tobytes()
 
     def test_vacuum_at_zero_energy(self):
         h = oracle.full_hamiltonian(ChainSpec(4, anisotropy=0.8, field=0.3))
@@ -176,6 +178,38 @@ class TestConformanceReport:
         assert "sector_block_equivalence" in names
         assert "conclusive_fidelity_noiseless" in names
         assert report["info"]["asymmetric_min_worst_case_fidelity"] > 0.99
+
+    def test_one_eigensolve_per_chain(self, monkeypatch):
+        calls = {"full_hamiltonian": 0, "eigh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(oracle, "full_hamiltonian", counted("full_hamiltonian", oracle.full_hamiltonian))
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        oracle.conformance_report()
+        # 63 block checks + 7 amplitude chains + 22 dual-rail runs; the
+        # amplitude check used to rebuild and re-solve per draw (225, 162)
+        assert calls == {"full_hamiltonian": 92, "eigh": 29}
+
+    def test_amplitude_check_matches_public_amplitude(self):
+        report = oracle.conformance_report()
+        by_name = {c["check"]: c for c in report["checks"]}
+        # the amplitude check is the report's first consumer of its rng
+        rng = np.random.default_rng(report["seed"])
+        dev = 0.0
+        for n in range(2, oracle.MAX_SINGLE_CHAIN_SITES + 1):
+            spec = ChainSpec(n)
+            dec = diagonalize(build_sector_hamiltonian(spec))
+            for t in rng.uniform(0.0, 3.0 * n, size=20):
+                r = int(rng.integers(1, n + 1))
+                s = int(rng.integers(1, n + 1))
+                f_red = transition_amplitude(dec, r, s, float(t))
+                dev = max(dev, abs(f_red - oracle.full_transition_amplitude(spec, r, s, float(t))))
+        assert by_name["transition_amplitude_equivalence"]["max_deviation"] == dev
 
     def test_injected_error_detected(self):
         report = oracle.conformance_report(inject_sign_error=True)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dualrail import protocol
 from dualrail.scheduler import (
     Schedule,
+    _EndpointObjective,
     ThresholdNotReached,
     default_window,
     greedy_optimize,
@@ -129,3 +130,14 @@ class TestGreedy:
         np.testing.assert_allclose(
             run.p_trajectory, replay.p_trajectory, atol=1e-12
         )
+
+    @pytest.mark.parametrize("n", [2, 7, 40])
+    @pytest.mark.parametrize("gamma", [0.0, 0.03])
+    def test_refine_objective_is_bit_identical_to_literal_sum(self, dec_cache, rng, n, gamma):
+        dec = dec_cache(n)
+        objective = _EndpointObjective(dec, gamma)
+        w = dec.modes[-1, :] * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        f = objective.refine_objective(w)
+        for tau in rng.uniform(*objective.window, size=50):
+            literal = math.exp(-2.0 * gamma * tau) * abs(np.sum(w * np.exp(-1j * dec.energies * tau))) ** 2
+            assert float.hex(float(f(tau))) == float.hex(float(literal))
