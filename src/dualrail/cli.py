@@ -1,7 +1,11 @@
 """Command-line entry point for reproducible runs.
 
-Configuration comes from an optional JSON file (--config) with flag
-overrides; flags always win.  Every command writes deterministic output:
+Each command takes only the flags it reads.  Configuration comes from an
+optional JSON file (--config) with flag overrides; flags always win.  A config
+key is the destination of one of the command's flags ('--l-max' -> 'l_max'),
+plus the list keys 'n_values' and 'p_values' for 'fit'; its value must have
+the flag's type (a JSON integer passes as a float).  Any other key or type is
+a validation error.  Every command writes deterministic output:
 rerunning with the same configuration reproduces a byte-identical data
 section (only the '# generated=' header line changes).
 
@@ -44,24 +48,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help, chain=False, j_kelvin=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--n", type=int, help="chain length")
-        p.add_argument("--j-kelvin", type=float, dest="j_kelvin",
-                       help="coupling J/k_B in Kelvin (enables ns columns)")
-        p.add_argument("--delta", type=float, help="XXZ anisotropy (default 1)")
-        p.add_argument("--b-field", type=float, dest="b_field", help="uniform z-field")
         p.add_argument("--out", help="output path (default: stdout)")
+        if chain:
+            p.add_argument("--n", type=int, help="chain length")
+            p.add_argument("--delta", type=float, help="XXZ anisotropy (default 1)")
+            p.add_argument("--b-field", type=float, dest="b_field", help="uniform z-field")
+        if j_kelvin:
+            p.add_argument("--j-kelvin", type=float, dest="j_kelvin",
+                           help="coupling J/k_B in Kelvin (enables ns columns)")
+        return p
 
-    p = sub.add_parser("amplitude", help="end-to-end transfer probability over a time grid")
-    common(p)
+    p = command("amplitude", "end-to-end transfer probability over a time grid",
+                chain=True, j_kelvin=True)
     p.add_argument("--t-max", type=float, dest="t_max", help="grid end, natural units")
     p.add_argument("--dt", type=float, help="grid step, natural units (default 0.01)")
 
-    p = sub.add_parser("protocol", help="run the repeated-measurement protocol")
-    common(p)
+    p = command("protocol", "run the repeated-measurement protocol", chain=True, j_kelvin=True)
     p.add_argument("--schedule", help="'greedy', 'uniform', or a schedule JSON file")
-    p.add_argument("--l-max", type=int, dest="l_max", help="number of measurements")
+    p.add_argument("--l-max", type=int, dest="l_max",
+                   help="number of measurements (greedy and uniform only)")
     p.add_argument("--p-target", type=float, dest="p_target",
                    help="stop when P(l) reaches this value (greedy only)")
     p.add_argument("--gamma", type=float, help="symmetric damping rate, natural units")
@@ -72,56 +80,74 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma2-ns", type=float, dest="gamma2_ns",
                    help="rail-2 damping rate in 1/ns (needs --j-kelvin)")
 
-    p = sub.add_parser("optimize", help="emit a greedily optimized schedule as JSON")
-    common(p)
+    p = command("optimize", "emit a greedily optimized schedule as JSON", chain=True)
     p.add_argument("--l-max", type=int, dest="l_max", help="number of intervals")
 
-    p = sub.add_parser("fit", help="power-law fits of the scaling laws")
-    common(p)
+    p = command("fit", "power-law fits of the scaling laws")
     p.add_argument("--fit", choices=("peak", "time"), help="which scaling law")
 
-    p = sub.add_parser("figure", help="emit a figure dataset as CSV")
-    common(p)
+    p = command("figure", "emit a figure dataset as CSV")
     p.add_argument("--fig", type=int, choices=(2, 3, 4), help="figure id")
 
-    p = sub.add_parser("oracle-check", help="run the brute-force conformance suite")
-    common(p)
+    p = command("oracle-check", "run the brute-force conformance suite")
     p.add_argument("--inject-sign-error", action="store_true",
                    help="debug: flip the hopping sign to prove the checks have power")
 
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    config = {}
-    if getattr(args, "config", None):
+# Config-only list inputs, by command, with the type of their entries.
+_CONFIG_LISTS = {"fit": {"n_values": int, "p_values": float}}
+
+
+def _options(parser: argparse.ArgumentParser, command: str) -> dict:
+    """Destination -> argparse action of each option ``command`` takes."""
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    return {a.dest: a for a in commands[command]._actions if a.dest != "help"}
+
+
+def _typed(value, kind: type, name: str):
+    """``value`` if its JSON type is ``kind``; a JSON integer also passes as a float."""
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if type(value) is not kind:  # rejects a bool where an int is expected
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _read_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """The config file's keys, each typed like its flag, overridden by the given flags."""
+    options = _options(parser, args.command)
+    lists = _CONFIG_LISTS.get(args.command, {})
+    cfg = {}
+    if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError("config file must hold a JSON object")
-    merged = dict(config)
-    for key, value in vars(args).items():
-        if key in ("config", "command"):
-            continue
-        if value is not None and value is not False:
-            merged[key] = value
-    return merged
-
-
-def _integer(value, name: str) -> int:
-    """``value`` if it is an integer (a JSON integer, never a bool)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
+        for key, value in config.items():
+            if key in lists:
+                cfg[key] = [_typed(v, lists[key], f"{key} entry") for v in _typed(value, list, key)]
+                continue
+            if key == "config" or key not in options:
+                raise ValueError(f"unknown config key {key!r} for {args.command}")
+            action = options[key]
+            value = _typed(value, bool if action.nargs == 0 else action.type or str, key)
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"{key} must be one of {action.choices}, got {value!r}")
+            cfg[key] = value
+    cfg.update((key, value) for key, value in vars(args).items()
+               if key not in ("config", "command") and value is not None and value is not False)
+    return cfg
 
 
 def _chain_spec(cfg: dict) -> ChainSpec:
     if "n" not in cfg:
         raise ValueError("chain length required (--n)")
     return ChainSpec(
-        n_sites=_integer(cfg["n"], "n"),
-        anisotropy=float(cfg.get("delta", 1.0)),
-        field=float(cfg.get("b_field", 0.0)),
+        n_sites=cfg["n"],
+        anisotropy=cfg.get("delta", 1.0),
+        field=cfg.get("b_field", 0.0),
     )
 
 
@@ -137,15 +163,14 @@ def _time_columns(cfg: dict):
     j_kelvin = cfg.get("j_kelvin")
     if j_kelvin is None:
         return (), lambda t: ()
-    j_kelvin = float(j_kelvin)
     return ("_ns",), lambda t: (analysis.natural_time_to_ns(t, j_kelvin),)
 
 
 def _cmd_amplitude(cfg: dict) -> int:
     spec = _chain_spec(cfg)
     dec = diagonalize(build_sector_hamiltonian(spec))
-    dt = float(cfg.get("dt", 0.01))
-    t_max = float(cfg.get("t_max", 1.5 * time_scale(spec.n_sites)))
+    dt = cfg.get("dt", 0.01)
+    t_max = cfg.get("t_max", 1.5 * time_scale(spec.n_sites))
     if not all(math.isfinite(x) and x > 0 for x in (dt, t_max)):
         raise ValueError("t grid needs finite positive --dt and --t-max")
     n_points = t_max // dt + 1
@@ -163,27 +188,30 @@ def _cmd_amplitude(cfg: dict) -> int:
 
 def _l_max(cfg: dict) -> int:
     """The measurement count, rejected before any run when its rows could not fit in memory."""
-    l_max = _integer(cfg.get("l_max", 20), "l_max")
+    l_max = cfg.get("l_max", 20)
     require_physical_memory(l_max * _MEASUREMENT_BYTES, f"l_max={l_max} measurements")
     return l_max
 
 
 def _resolve_noise(cfg: dict):
-    """NoiseParams from natural or laboratory-unit flags, or None."""
+    """NoiseParams from one family of natural or laboratory-unit rates, or None."""
+    families = (("gamma",), ("gamma_ns",), ("gamma1_ns", "gamma2_ns"))
+    if sum(any(key in cfg for key in family) for family in families) > 1:
+        raise ValueError("give one of --gamma, --gamma-ns or --gamma1-ns/--gamma2-ns")
     j_kelvin = cfg.get("j_kelvin")
-    if cfg.get("gamma1_ns") is not None or cfg.get("gamma2_ns") is not None:
-        if cfg.get("gamma1_ns") is None or cfg.get("gamma2_ns") is None or j_kelvin is None:
+    if "gamma1_ns" in cfg or "gamma2_ns" in cfg:
+        if "gamma1_ns" not in cfg or "gamma2_ns" not in cfg or j_kelvin is None:
             raise ValueError("asymmetric rates need --gamma1-ns, --gamma2-ns and --j-kelvin")
         return NoiseParams(
-            gamma_1=analysis.gamma_ns_to_natural(float(cfg["gamma1_ns"]), float(j_kelvin)),
-            gamma_2=analysis.gamma_ns_to_natural(float(cfg["gamma2_ns"]), float(j_kelvin)),
+            gamma_1=analysis.gamma_ns_to_natural(cfg["gamma1_ns"], j_kelvin),
+            gamma_2=analysis.gamma_ns_to_natural(cfg["gamma2_ns"], j_kelvin),
         )
-    if cfg.get("gamma_ns") is not None:
+    if "gamma_ns" in cfg:
         if j_kelvin is None:
             raise ValueError("--gamma-ns needs --j-kelvin")
-        return NoiseParams(analysis.gamma_ns_to_natural(float(cfg["gamma_ns"]), float(j_kelvin)))
-    if cfg.get("gamma") is not None:
-        return NoiseParams(float(cfg["gamma"]))
+        return NoiseParams(analysis.gamma_ns_to_natural(cfg["gamma_ns"], j_kelvin))
+    if "gamma" in cfg:
+        return NoiseParams(cfg["gamma"])
     return None
 
 
@@ -192,8 +220,11 @@ def _cmd_protocol(cfg: dict) -> int:
     dec = diagonalize(build_sector_hamiltonian(spec))
     noise = _resolve_noise(cfg)
     asymmetric = noise is not None and not noise.symmetric
-    source = str(cfg.get("schedule", "greedy"))
-    l_max = _l_max(cfg)
+    source = cfg.get("schedule", "greedy")
+    if source in ("greedy", "uniform"):
+        l_max = _l_max(cfg)
+    elif "l_max" in cfg:
+        raise ValueError("a schedule file sets the measurement count; drop --l-max")
     p_target = cfg.get("p_target")
     if p_target is not None and (source != "greedy" or asymmetric):
         raise ValueError("--p-target requires --schedule greedy and symmetric damping")
@@ -202,7 +233,7 @@ def _cmd_protocol(cfg: dict) -> int:
         records = greedy_run(
             dec,
             l_max=l_max,
-            p_target=float(p_target) if p_target is not None else None,
+            p_target=p_target,
             gamma=noise.gamma if noise is not None else 0.0,
         ).records
     else:
@@ -249,14 +280,13 @@ def _cmd_optimize(cfg: dict) -> int:
 
 def _cmd_fit(cfg: dict) -> int:
     kind = cfg.get("fit", "peak")
-    default_ns = (20, 50, 100, 150, 200) if kind == "peak" else analysis.FIG3_N_SET
-    n_values = [_integer(n, "n_values entry") for n in cfg.get("n_values", default_ns)]
     if kind == "peak":
-        fit = analysis.fit_peak_scaling(n_values)
-    elif kind == "time":
-        fit = analysis.fit_time_scaling(n_values, cfg.get("p_values", analysis.FIG3_P_SET))
+        if "p_values" in cfg:
+            raise ValueError("p_values is read only by --fit time")
+        fit = analysis.fit_peak_scaling(cfg.get("n_values", (20, 50, 100, 150, 200)))
     else:
-        raise ValueError(f"unknown fit kind {kind!r}")
+        fit = analysis.fit_time_scaling(cfg.get("n_values", analysis.FIG3_N_SET),
+                                        cfg.get("p_values", analysis.FIG3_P_SET))
     payload = {
         "fit": kind,
         "prefactor": fit.prefactor,
@@ -271,15 +301,13 @@ def _cmd_fit(cfg: dict) -> int:
 def _cmd_figure(cfg: dict) -> int:
     if "fig" not in cfg:
         raise ValueError("figure id required (--fig 2|3|4)")
-    dataset = analysis.reproduce_figure(_integer(cfg["fig"], "fig"))
+    dataset = analysis.reproduce_figure(cfg["fig"])
     _emit(dataset.to_csv(), cfg.get("out"))
     return EXIT_OK
 
 
 def _cmd_oracle_check(cfg: dict) -> int:
-    report = oracle.conformance_report(
-        inject_sign_error=bool(cfg.get("inject_sign_error", False))
-    )
+    report = oracle.conformance_report(inject_sign_error=cfg.get("inject_sign_error", False))
     text = json.dumps(report, indent=2) + "\n"
     _emit(text, cfg.get("out"))
     return EXIT_OK if report["passed"] else EXIT_CONFORMANCE
@@ -299,7 +327,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
+        cfg = _read_config(parser, args)
         return _COMMANDS[args.command](cfg)
     except ThresholdNotReached as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,8 @@ Asymmetric rates keep one shared spatial vector (the rails are identical and
 the failure projection treats them symmetrically), so ``asymmetric_run``
 weights the step successes of the noiseless run by two scalar damping factors
 on the logical components.  It yields ordinary measurement records, each
-carrying the input qubit's joint success and its decoded fidelities.
+carrying the balanced input qubit's joint success and its decoded fidelity,
+the worst case over the Bloch sphere.
 """
 
 from __future__ import annotations
@@ -106,11 +107,10 @@ def p_infinity_exact(
 class AsymmetricStep(protocol.MeasurementRecord):
     """Measurement record of a run with unequal rail damping.
 
-    ``step_success`` is the input qubit's joint success and ``joint_failure``
-    is 1 minus the running total of those.
+    ``step_success`` is the balanced input qubit's joint success and
+    ``joint_failure`` is 1 minus the running total of those.
     """
 
-    fidelity: float
     worst_case_fidelity: float
 
 
@@ -118,10 +118,6 @@ class AsymmetricStep(protocol.MeasurementRecord):
 class AsymmetricRunResult:
     records: list
     total_success: float
-
-    @property
-    def min_fidelity(self) -> float:
-        return min(r.fidelity for r in self.records)
 
     @property
     def min_worst_case_fidelity(self) -> float:
@@ -132,7 +128,6 @@ def asymmetric_run(
     dec: SpectralDecomposition,
     noise: NoiseParams,
     schedule: Union[Sequence[float], "object"],
-    qubit: Optional[tuple] = None,
 ) -> AsymmetricRunResult:
     """Protocol run with rail-dependent damping rates.
 
@@ -146,16 +141,12 @@ def asymmetric_run(
         decoded state  ~ alpha a |0> + beta b |1>
         fidelity       = (|alpha|^2 a + |beta|^2 b)^2 / (|alpha|^2 a^2 + |beta|^2 b^2)
 
-    Worst-case fidelity over the Bloch sphere is attained at
-    alpha = beta = 1/sqrt(2): (a+b)^2 / (2 (a^2+b^2)); it equals 1 for
-    symmetric rates and decreases as |gamma_1 - gamma_2| * t grows.
+    The run is for the balanced input qubit alpha = beta = 1/sqrt(2), where the
+    fidelity attains its worst case over the Bloch sphere,
+    (a+b)^2 / (2 (a^2+b^2)); it equals 1 for symmetric rates and decreases as
+    |gamma_1 - gamma_2| * t grows.
     """
-    if qubit is None:
-        qubit = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-    alpha, beta = complex(qubit[0]), complex(qubit[1])
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
-        raise ValueError("input qubit must be normalized")
-    wa, wb = abs(alpha) ** 2, abs(beta) ** 2
+    h = (1.0 / math.sqrt(2.0)) ** 2  # |alpha|^2 = |beta|^2 = 0.4999999999999999, not 0.5
 
     records = []
     total = 0.0
@@ -163,7 +154,7 @@ def asymmetric_run(
         t = rec.absolute_time
         a = math.exp(-noise.gamma_2 * t)
         b = math.exp(-noise.gamma_1 * t)
-        weight = wa * a * a + wb * b * b
+        weight = h * a * a + h * b * b
         joint = weight * rec.step_success
         total += joint
         records.append(
@@ -173,7 +164,6 @@ def asymmetric_run(
                 absolute_time=t,
                 step_success=joint,
                 joint_failure=1.0 - total,
-                fidelity=(wa * a + wb * b) ** 2 / weight if weight > 0 else 0.0,
                 worst_case_fidelity=(a + b) ** 2 / (2.0 * (a * a + b * b)),
             )
         )

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
@@ -19,9 +20,32 @@ from dualrail.scheduler import greedy_optimize
 
 
 def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_validation_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert any(line.startswith(("error:", "dualrail: error:")) for line in err.splitlines()), err
+
+
+README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+# Every option destination of every command: a new option shows up here as a diff.
+OPTIONS = {
+    "amplitude": {"config", "out", "n", "delta", "b_field", "j_kelvin", "t_max", "dt"},
+    "protocol": {"config", "out", "n", "delta", "b_field", "j_kelvin", "schedule", "l_max",
+                 "p_target", "gamma", "gamma_ns", "gamma1_ns", "gamma2_ns"},
+    "optimize": {"config", "out", "n", "delta", "b_field", "l_max"},
+    "fit": {"config", "out", "fit"},
+    "figure": {"config", "out", "fig"},
+    "oracle-check": {"config", "out", "inject_sign_error"},
+}
 
 
 def data_section(text):
@@ -31,8 +55,7 @@ def data_section(text):
 
 def readme_commands():
     """Arguments of every ``dualrail ...`` line in the README's sh blocks."""
-    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    blocks = re.findall(r"```sh\n(.*?)```", README, flags=re.S)
     return [shlex.split(line, comments=True)[1:]
             for block in blocks for line in block.splitlines() if line.startswith("dualrail ")]
 
@@ -224,6 +247,28 @@ class TestProtocol:
         assert out == ""
         assert err.startswith("error:") and "physical memory" in err
 
+    @pytest.mark.parametrize(
+        "rates",
+        [("--gamma", "0.01", "--gamma-ns", "0.1"),
+         ("--gamma-ns", "0.1", "--gamma1-ns", "0.25", "--gamma2-ns", "0.238"),
+         ("--gamma", "0.01", "--gamma1-ns", "0.25", "--gamma2-ns", "0.238")],
+        ids=["gamma+gamma-ns", "gamma-ns+rail-rates", "gamma+rail-rates"],
+    )
+    def test_conflicting_damping_rates_are_validation_error(self, capsys, rates):
+        code, out, err = run_cli(capsys, "protocol", "--n", "20", "--l-max", "3",
+                                 "--j-kelvin", "20", *rates)
+        assert_validation_error(code, out, err)
+        assert "one of" in err
+
+    @pytest.mark.parametrize("l_max", ["7", "0"])
+    def test_l_max_with_schedule_file_is_validation_error(self, capsys, tmp_path, l_max):
+        path = tmp_path / "sched.json"
+        path.write_text(json.dumps({"intervals": [1.0, 2.0]}))
+        code, out, err = run_cli(capsys, "protocol", "--n", "4", "--schedule", str(path),
+                                 "--l-max", l_max)
+        assert_validation_error(code, out, err)
+        assert "l-max" in err
+
     def test_p_target_needs_greedy(self, capsys):
         code, _, err = run_cli(
             capsys, "protocol", "--n", "4", "--schedule", "uniform", "--p-target", "0.1"
@@ -326,32 +371,100 @@ class TestConfigMerge:
         assert err.startswith("error:")
 
 
+    @pytest.mark.parametrize(
+        "argv,config",
+        [
+            (("protocol",), {"n": 20, "lmax": 3}),
+            (("protocol",), {"n": 20, "config": "other.json"}),
+            (("protocol",), {"n": 20, "command": "protocol"}),
+            (("figure", "--fig", "2"), {"n": 50}),
+            (("amplitude",), {"n": 10, "l_max": 3}),
+            (("oracle-check",), {"inject_sign_error": "false"}),
+            (("amplitude",), {"n": 10, "t_max": 1.0, "j_kelvin": "20"}),
+            (("protocol",), {"n": 20, "schedule": 5}),
+            (("fit",), {"fit": "width"}),
+            (("figure",), {"fig": 5}),
+        ],
+        ids=["unknown-lmax", "config-key", "command-key", "key-of-other-command",
+             "l_max-on-amplitude", "bool-as-string", "number-as-string", "schedule-int",
+             "fit-choice", "fig-choice"],
+    )
+    def test_key_the_command_does_not_read_is_validation_error(self, capsys, tmp_path,
+                                                               argv, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert_validation_error(*run_cli(capsys, *argv, "--config", str(cfg)))
+
+    @pytest.mark.parametrize("out", [2, True, 1.5, None])
+    def test_out_must_be_a_path(self, capsys, tmp_path, out):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 4, "l_max": 2, "out": out}))
+        assert_validation_error(*run_cli(capsys, "optimize", "--config", str(cfg)))
+        os.fstat(1)  # neither stdout nor stderr was taken as the output file and closed
+        os.fstat(2)
+
+    def test_config_integer_passes_as_float(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 3, "delta": 1, "t_max": 1, "dt": 1}))
+        parser = cli.build_parser()
+        typed = cli._read_config(parser, parser.parse_args(["amplitude", "--config", str(cfg)]))
+        assert [type(typed[k]) for k in ("n", "delta", "t_max", "dt")] == [int, float, float, float]
+        code, from_config, _ = run_cli(capsys, "amplitude", "--config", str(cfg))
+        assert code == 0
+        _, from_flags, _ = run_cli(capsys, "amplitude", "--n", "3", "--delta", "1",
+                                   "--t-max", "1", "--dt", "1")
+        assert data_section(from_config) == data_section(from_flags)
+
+
 _NAN, _INF = math.nan, math.inf
-_HOSTILE_CONFIG = st.fixed_dictionaries(
-    {"n": st.sampled_from([-3, 0, 1, 2, 5, 12, 2.5, "x", None, [5], True, 10**7])},
-    optional={
-        "l_max": st.sampled_from([-1, 0, 1, 4, 2.5, "x", None]),
-        "gamma": st.sampled_from([_NAN, _INF, -_INF, -0.5, 0.0, 0.01, "x"]),
-        "p_target": st.sampled_from([_NAN, _INF, -_INF, -0.5, 0.0, 0.5, 1e-3, "x"]),
-        "schedule": st.sampled_from(["greedy", "uniform", "missing-schedule.json"]),
-        "dt": st.sampled_from([-1.0, 0.0, _NAN, _INF, 0.1, 3.0]),
-        "t_max": st.sampled_from([-1.0, 0.0, _NAN, _INF, 0.1, 3.0]),
-    },
-)
+# Hostile values of every config key the three chain commands read.
+_HOSTILE_VALUES = {
+    "l_max": [-1, 0, 1, 4, 2.5, "x", None],
+    "gamma": [_NAN, _INF, -_INF, -0.5, 0.0, 0.01, "x"],
+    "p_target": [_NAN, _INF, -_INF, -0.5, 0.0, 0.5, 1e-3, "x"],
+    "schedule": ["greedy", "uniform", "missing-schedule.json"],
+    "dt": [-1.0, 0.0, _NAN, _INF, 0.1, 3.0],
+    "t_max": [-1.0, 0.0, _NAN, _INF, 0.1, 3.0],
+    "delta": [_NAN, 0.0, 1, 2.5, "x"],
+    "j_kelvin": [_NAN, 0.0, 20, "20"],
+}
+# The keys of ``_HOSTILE_VALUES`` each command reads; any other key is unknown to it.
+_HOSTILE_KEYS = {
+    "protocol": ("l_max", "gamma", "p_target", "schedule", "delta", "j_kelvin"),
+    "amplitude": ("dt", "t_max", "delta", "j_kelvin"),
+    "optimize": ("l_max", "delta"),
+}
+
+
+@st.composite
+def _hostile_config(draw):
+    """(command, config, unknown key or None) with keys drawn only from those the command reads."""
+    command = draw(st.sampled_from(sorted(_HOSTILE_KEYS)))
+    config = draw(st.fixed_dictionaries(
+        {"n": st.sampled_from([-3, 0, 1, 2, 5, 12, 2.5, "x", None, [5], True, 10**7])},
+        optional={key: st.sampled_from(_HOSTILE_VALUES[key]) for key in _HOSTILE_KEYS[command]},
+    ))
+    key = None
+    if draw(st.integers(0, 3)) == 3:  # one draw in four adds a key the command does not read
+        key = draw(st.sampled_from(
+            sorted(set(_HOSTILE_VALUES) - set(_HOSTILE_KEYS[command]) | {"lmax", "fig"})))
+        config[key] = 1
+    return command, config, key
 
 
 class TestHostileConfig:
     @settings(max_examples=200, deadline=None)
-    @given(command=st.sampled_from(["protocol", "amplitude", "optimize"]), config=_HOSTILE_CONFIG)
-    def test_fails_loudly_or_succeeds_cleanly(self, tmp_path_factory, command, config):
+    @given(case=_hostile_config())
+    def test_fails_loudly_or_succeeds_cleanly(self, tmp_path_factory, case):
+        command, config, unknown = case
         cfg = tmp_path_factory.mktemp("hostile") / "cfg.json"
-        if "schedule" in config and config["schedule"].endswith(".json"):
+        if str(config.get("schedule")).endswith(".json"):
             config["schedule"] = str(cfg.parent / config["schedule"])  # never created
         cfg.write_text(json.dumps(config))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main([command, "--config", str(cfg)])
-        assert code in (0, 2, 3), (code, err.getvalue())
+        assert code in ((2,) if unknown else (0, 2, 3)), (code, err.getvalue())
         if code == 0:
             assert "nan" not in out.getvalue().lower()
         else:
@@ -368,6 +481,15 @@ class TestFit:
         assert payload["exponent"] < 0
 
 
+    @pytest.mark.parametrize("argv", [("--fit", "peak"), ()], ids=["peak", "default"])
+    def test_p_values_with_peak_fit_is_validation_error(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p_values": [0.1, 0.01, 0.001]}))
+        code, out, err = run_cli(capsys, "fit", *argv, "--config", str(cfg))
+        assert_validation_error(code, out, err)
+        assert "p_values" in err
+
+
 class TestFigure:
     def test_requires_fig_id(self, capsys):
         code, _, err = run_cli(capsys, "figure")
@@ -378,6 +500,62 @@ class TestFigure:
         _, first, _ = run_cli(capsys, "figure", "--fig", "2")
         _, second, _ = run_cli(capsys, "figure", "--fig", "2")
         assert data_section(first) == data_section(second)
+
+
+REMOVED_FLAGS = [
+    (command, flag)
+    for command in ("fit", "figure", "oracle-check")
+    for flag in (("--n", "20"), ("--delta", "0.3"), ("--b-field", "1"), ("--j-kelvin", "20"))
+] + [("optimize", ("--j-kelvin", "20"))]
+
+# One well-typed config value for every key some command reads.
+CONFIG_SAMPLE = {
+    "out": "out.csv", "n": 3, "delta": 0.5, "b_field": 0.5, "j_kelvin": 20.0, "t_max": 1.0,
+    "dt": 0.5, "schedule": "uniform", "l_max": 2, "p_target": 0.1, "gamma": 0.01,
+    "gamma_ns": 0.1, "gamma1_ns": 0.1, "gamma2_ns": 0.2, "fit": "time", "fig": 3,
+    "inject_sign_error": True, "n_values": [20], "p_values": [0.1],
+}
+VALID_ARGV = {"fit": ("--fit", "peak"), "figure": ("--fig", "2"), "oracle-check": (),
+              "optimize": ("--n", "4", "--l-max", "2")}
+
+
+class TestOptionSurface:
+    def test_option_destinations(self):
+        parser = cli.build_parser()
+        assert set(cli._COMMANDS) == set(OPTIONS)
+        assert {command: set(cli._options(parser, command)) for command in OPTIONS} == OPTIONS
+        assert sum(map(len, OPTIONS.values())) == 36
+
+    @pytest.mark.parametrize("command,flag", REMOVED_FLAGS,
+                             ids=[f"{c} {f[0]}" for c, f in REMOVED_FLAGS])
+    def test_flag_the_command_does_not_read_is_rejected(self, capsys, command, flag):
+        code, out, err = run_cli(capsys, command, *VALID_ARGV[command], *flag)
+        assert_validation_error(code, out, err)
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_config_keys_are_the_flag_destinations(self, tmp_path, command):
+        parser = cli.build_parser()
+        cfg = tmp_path / "cfg.json"
+        args = parser.parse_args([command, "--config", str(cfg)])
+        lists = {"n_values", "p_values"} if command == "fit" else set()
+        accepted = {key: CONFIG_SAMPLE[key] for key in (OPTIONS[command] - {"config"}) | lists}
+        cfg.write_text(json.dumps(accepted))
+        assert cli._read_config(parser, args) == accepted
+        for key in sorted(CONFIG_SAMPLE.keys() - accepted.keys() | {"config", "command", "lmax"}):
+            cfg.write_text(json.dumps({key: CONFIG_SAMPLE.get(key, 1)}))
+            with pytest.raises(ValueError, match="unknown config key"):
+                cli._read_config(parser, args)
+
+    def test_readme_flag_table_matches_parser(self):
+        rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", README, flags=re.M)
+        table = {command: set(re.findall(r"`(--[a-z0-9-]+)`", flags)) for command, flags in rows}
+        parser = cli.build_parser()
+        assert table == {
+            command: {s for action in cli._options(parser, command).values()
+                      for s in action.option_strings}
+            for command in OPTIONS
+        }
 
 
 class TestReadmeExamples:
