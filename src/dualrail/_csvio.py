@@ -1,4 +1,4 @@
-"""Deterministic CSV assembly shared by the result emitters.
+"""Deterministic CSV assembly shared by the result emitters, and the JSON input type rule.
 
 Layout: '# key=value' metadata lines, a '# digest=sha256:...' line over the
 data section, one '# generated=...' timestamp line (the only
@@ -11,6 +11,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import io
+import sys
 
 
 def format_value(v) -> str:
@@ -36,3 +37,15 @@ def render_csv(columns, rows, metadata=None) -> str:
 def write_text(path, text: str) -> None:
     with io.open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def typed(value, kind: type, name: str):
+    """``value`` if its JSON type is ``kind``; a JSON integer also passes as a float.
+
+    The one type rule of every JSON input: config keys and schedule intervals.
+    """
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if type(value) is not kind:  # rejects a bool where an int is expected
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value

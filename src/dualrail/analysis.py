@@ -28,10 +28,17 @@ def _check_coupling(coupling_kelvin: float) -> None:
         raise ValueError(f"coupling must be finite and positive, got {coupling_kelvin} K")
 
 
+def _finite(value: float, what: str, coupling_kelvin: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is not finite at J/k_B = {coupling_kelvin} K")
+    return value
+
+
 def natural_time_to_ns(t_natural: float, coupling_kelvin: float) -> float:
     """Convert a time in hbar/J units to ns, given J/k_B in Kelvin."""
     _check_coupling(coupling_kelvin)
-    return t_natural * HBAR_OVER_KB_NS_K / coupling_kelvin
+    return _finite(t_natural * HBAR_OVER_KB_NS_K / coupling_kelvin,
+                   f"time {t_natural} hbar/J in ns", coupling_kelvin)
 
 
 def gamma_to_natural(j_over_gamma_kelvin_ns: float) -> float:
@@ -46,7 +53,8 @@ def gamma_ns_to_natural(rate_per_ns: float, coupling_kelvin: float) -> float:
     if not (math.isfinite(rate_per_ns) and rate_per_ns >= 0):
         raise ValueError(f"rate must be finite and >= 0, got {rate_per_ns}")
     _check_coupling(coupling_kelvin)
-    return rate_per_ns * HBAR_OVER_KB_NS_K / coupling_kelvin
+    return _finite(rate_per_ns * HBAR_OVER_KB_NS_K / coupling_kelvin,
+                   f"rate {rate_per_ns}/ns in J/hbar units", coupling_kelvin)
 
 
 @dataclass(frozen=True)

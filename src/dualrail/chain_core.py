@@ -162,39 +162,38 @@ def transition_amplitude(dec: SpectralDecomposition, r: int, s: int, t: float) -
     return complex(np.sum(w * np.exp(-1j * dec.energies * t)))
 
 
-def transition_amplitudes(
-    dec: SpectralDecomposition, r: int, s: int, times: np.ndarray
-) -> np.ndarray:
-    """Vectorized transition_amplitude over an array of times."""
-    _check_site(dec, r)
-    _check_site(dec, s)
-    times = np.asarray(times, dtype=float)
-    w = dec.modes[r - 1, :] * dec.modes[s - 1, :]
-    return np.exp(-1j * np.outer(times, dec.energies)) @ w
+def grid_points(t_lo: float, t_hi: float, step: float) -> int:
+    """Number G of grid points t_lo + j*step that reach t_hi, allowing 1e-9 step of rounding."""
+    span = (t_hi - t_lo) / step
+    if math.isinf(span):
+        raise ValueError(f"a grid from {t_lo} to {t_hi} at step {step} has no finite size")
+    return math.floor(span + 1e-9) + 1
 
 
 class PhaseGrid:
-    """Phase sums S(t_j) = sum_k w_k exp(-i E_k t_j) on t_j = t0 + j*step, j < G.
+    """Phase sums S(t_j) = sum_k w_k exp(-i E_k t_j) on ``times`` t_j = t_lo + j*step, j < G.
 
+    The one time grid of every scan: G = ``grid_points(t_lo, t_hi, step)``.
     The (G x modes) table exp(-i E t_j) is never formed.  With B = ceil(sqrt(G)),
     Q = ceil(G/B) and j = q*B + m it factors as base[q] * inner[m], where
-    base = exp(-i E (t0 + step*B*q)) is (Q x modes) and inner = exp(-i E step*m)
+    base = exp(-i E (t_lo + step*B*q)) is (Q x modes) and inner = exp(-i E step*m)
     is (B x modes).  The grid costs (B+Q)*modes exponentials and O(modes * sqrt(G))
     memory, and each ``sums`` call is one cache-resident matrix product.
     """
 
-    def __init__(self, energies: np.ndarray, t0: float, step: float, n_points: int):
+    def __init__(self, energies: np.ndarray, t_lo: float, t_hi: float, step: float):
+        n_points = grid_points(t_lo, t_hi, step)
         if n_points < 1:
             raise ValueError(f"grid needs at least one point, got {n_points}")
         b = math.isqrt(n_points - 1) + 1
         q = -(-n_points // b)
-        self.n_points = n_points
-        self._base = np.exp(-1j * np.outer(t0 + step * b * np.arange(q), energies))
+        self.times = t_lo + step * np.arange(n_points)
+        self._base = np.exp(-1j * np.outer(t_lo + step * b * np.arange(q), energies))
         self._inner = np.exp(-1j * np.outer(energies, step * np.arange(b)))
 
     def sums(self, weights: np.ndarray) -> np.ndarray:
         """S(t_j) for every grid point, shape (G,)."""
-        return ((self._base * weights) @ self._inner).ravel()[: self.n_points]
+        return ((self._base * weights) @ self._inner).ravel()[: len(self.times)]
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -224,16 +223,6 @@ def _golden_max(f, a: float, b: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def grid_transition_amplitudes(
-    dec: SpectralDecomposition, r: int, s: int, t0: float, step: float, n_points: int
-) -> np.ndarray:
-    """transition_amplitudes over the uniform grid t_j = t0 + j*step, j < n_points."""
-    _check_site(dec, r)
-    _check_site(dec, s)
-    w = dec.modes[r - 1, :] * dec.modes[s - 1, :]
-    return PhaseGrid(dec.energies, t0, step, n_points).sums(w)
-
-
 def propagator_matrix(dec: SpectralDecomposition, tau: float) -> np.ndarray:
     """Unitary F(tau) with F[r-1, s-1] = f_{r,s}(tau)."""
     if tau < 0:
@@ -251,10 +240,11 @@ def first_peak(dec: SpectralDecomposition) -> tuple[float, float]:
     The scan's G = 75N points are evaluated through a factored PhaseGrid, so
     it holds O(N * sqrt(G)) = O(N^1.5) memory, not a (G x N) table.
     """
-    n = dec.n_sites
     step = 0.01
-    ts = np.arange(step, 0.75 * time_scale(n) + 0.5 * step, step)
-    p = np.abs(grid_transition_amplitudes(dec, n, 1, step, step, len(ts))) ** 2
+    grid = PhaseGrid(dec.energies, step, 0.75 * time_scale(dec.n_sites), step)
+    ts = grid.times
+    w = dec.modes[-1, :] * dec.modes[0, :]
+    p = np.abs(grid.sums(w)) ** 2
 
     interior = np.arange(1, len(ts) - 1)
     is_max = (p[interior] >= p[interior - 1]) & (p[interior] > p[interior + 1])
@@ -264,7 +254,6 @@ def first_peak(dec: SpectralDecomposition) -> tuple[float, float]:
         return float(ts[i]), float(p[i])
     i = int(candidates[np.argmax(p[candidates])])
 
-    w = dec.modes[-1, :] * dec.modes[0, :]
     phases = -1j * dec.energies
     t_ref, p_ref = _golden_max(lambda t: abs(w @ np.exp(phases * t)) ** 2, ts[i] - step, ts[i] + step)
     if p_ref >= p[i]:

@@ -23,9 +23,9 @@ import sys
 import numpy as np
 
 from . import analysis, oracle, protocol
-from ._csvio import render_csv, write_text
-from .chain_core import (ChainSpec, build_sector_hamiltonian, diagonalize,
-                         grid_transition_amplitudes, require_physical_memory, time_scale)
+from ._csvio import render_csv, typed, write_text
+from .chain_core import (ChainSpec, PhaseGrid, build_sector_hamiltonian, diagonalize,
+                         grid_points, require_physical_memory, time_scale)
 from .noise import NoiseParams, asymmetric_run
 from .scheduler import Schedule, ThresholdNotReached, greedy_optimize, greedy_run, uniform_schedule
 
@@ -41,8 +41,15 @@ _AMPLITUDE_POINT_BYTES = 400
 _MEASUREMENT_BYTES = 700
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a command-line error as ValueError, so ``main`` reports it like any other."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dualrail",
         description="Conclusive state transfer through parallel spin chains",
     )
@@ -106,15 +113,6 @@ def _options(parser: argparse.ArgumentParser, command: str) -> dict:
     return {a.dest: a for a in commands[command]._actions if a.dest != "help"}
 
 
-def _typed(value, kind: type, name: str):
-    """``value`` if its JSON type is ``kind``; a JSON integer also passes as a float."""
-    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
-        value = float(value)
-    if type(value) is not kind:  # rejects a bool where an int is expected
-        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
-    return value
-
-
 def _read_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
     """The config file's keys, each typed like its flag, overridden by the given flags."""
     options = _options(parser, args.command)
@@ -127,12 +125,12 @@ def _read_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> d
             raise ValueError("config file must hold a JSON object")
         for key, value in config.items():
             if key in lists:
-                cfg[key] = [_typed(v, lists[key], f"{key} entry") for v in _typed(value, list, key)]
+                cfg[key] = [typed(v, lists[key], f"{key} entry") for v in typed(value, list, key)]
                 continue
             if key == "config" or key not in options:
                 raise ValueError(f"unknown config key {key!r} for {args.command}")
             action = options[key]
-            value = _typed(value, bool if action.nargs == 0 else action.type or str, key)
+            value = typed(value, bool if action.nargs == 0 else action.type or str, key)
             if action.choices is not None and value not in action.choices:
                 raise ValueError(f"{key} must be one of {action.choices}, got {value!r}")
             cfg[key] = value
@@ -173,13 +171,14 @@ def _cmd_amplitude(cfg: dict) -> int:
     t_max = cfg.get("t_max", 1.5 * time_scale(spec.n_sites))
     if not all(math.isfinite(x) and x > 0 for x in (dt, t_max)):
         raise ValueError("t grid needs finite positive --dt and --t-max")
-    n_points = t_max // dt + 1
-    require_physical_memory(n_points * _AMPLITUDE_POINT_BYTES, f"a t grid of {n_points:.4g} points")
-    ts = np.arange(0.0, t_max + 0.5 * dt, dt)
-    probs = np.abs(grid_transition_amplitudes(dec, spec.n_sites, 1, 0.0, dt, len(ts))) ** 2
+    n_points = grid_points(0.0, t_max, dt)  # as a float below, a huge count's bytes read inf
+    require_physical_memory(float(n_points) * _AMPLITUDE_POINT_BYTES,
+                            f"a t grid of {n_points:.4g} points")
+    grid = PhaseGrid(dec.energies, 0.0, t_max, dt)
+    probs = np.abs(grid.sums(dec.modes[-1, :] * dec.modes[0, :])) ** 2
     ns_suffix, to_ns = _time_columns(cfg)
     columns = ("t_natural", *(f"t{s}" for s in ns_suffix), "p_transfer")
-    rows = [(float(t), *to_ns(float(t)), float(p)) for t, p in zip(ts, probs)]
+    rows = [(float(t), *to_ns(float(t)), float(p)) for t, p in zip(grid.times, probs)]
     meta = {"command": "amplitude", "n": spec.n_sites, "delta": spec.anisotropy,
             "b_field": spec.field}
     _emit(render_csv(columns, rows, meta), cfg.get("out"))
@@ -325,8 +324,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         cfg = _read_config(parser, args)
         return _COMMANDS[args.command](cfg)
     except ThresholdNotReached as exc:

@@ -38,6 +38,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from ._csvio import typed
 from .chain_core import SpectralDecomposition
 
 
@@ -63,11 +64,13 @@ class Schedule:
 
     @classmethod
     def from_json(cls, path) -> "Schedule":
+        """Schedule from a JSON object whose one key 'intervals' lists JSON numbers."""
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        if not isinstance(payload, dict) or "intervals" not in payload:
-            raise ValueError(f"schedule file {path} must hold an object with 'intervals'")
-        return cls(intervals=np.asarray(payload["intervals"], dtype=float))
+        if not isinstance(payload, dict) or set(payload) != {"intervals"}:
+            raise ValueError(f"schedule file {path} must hold an object with only 'intervals'")
+        intervals = typed(payload["intervals"], list, "intervals")
+        return cls(intervals=[typed(t, float, "intervals entry") for t in intervals])
 
 
 @dataclass(frozen=True)

@@ -65,14 +65,11 @@ class _EndpointObjective:
     """
 
     def __init__(self, dec: SpectralDecomposition, gamma: float):
-        t_lo, t_hi = default_window(dec.n_sites)
-        n_pts = int(math.floor((t_hi - t_lo) / _GRID_STEP + 1e-9)) + 1
-        self.taus = t_lo + _GRID_STEP * np.arange(n_pts)
-        self.window = (t_lo, t_hi)
+        self.window = default_window(dec.n_sites)
         self.gamma = gamma
         self.dec = dec
-        self._grid = PhaseGrid(dec.energies, t_lo, _GRID_STEP, n_pts)
-        self._damp = np.exp(-2.0 * gamma * self.taus)
+        self.grid = PhaseGrid(dec.energies, *self.window, _GRID_STEP)
+        self._damp = np.exp(-2.0 * gamma * self.grid.times)
 
     def refine_objective(self, w: np.ndarray):
         """tau -> exp(-2*gamma*tau) * |sum(w * exp(-i E tau))|^2 for the golden refine.
@@ -89,7 +86,7 @@ class _EndpointObjective:
         return f
 
     def best_tau(self, w: np.ndarray) -> float:
-        obj = self._damp * np.abs(self._grid.sums(w)) ** 2
+        obj = self._damp * np.abs(self.grid.sums(w)) ** 2
         best_grid = float(np.max(obj))
 
         # grid local maxima (and boundary points beating their neighbour)
@@ -100,13 +97,11 @@ class _EndpointObjective:
         right[-1], right[:-1] = -np.inf, obj[1:]
         is_peak = (obj >= left) & (obj > right)
         candidates = np.nonzero(is_peak & (obj >= 0.95 * best_grid))[0]
-        if candidates.size == 0:
-            candidates = np.array([int(np.argmax(obj))])
 
         f = self.refine_objective(w)
         refined = []
         for j in candidates:
-            tau_grid, val_grid = float(self.taus[j]), float(obj[j])
+            tau_grid, val_grid = float(self.grid.times[j]), float(obj[j])
             a = max(self.window[0], tau_grid - _GRID_STEP)
             b = min(self.window[1], tau_grid + _GRID_STEP)
             tau_ref, val_ref = _golden_max(f, a, b)
@@ -117,12 +112,9 @@ class _EndpointObjective:
             else:
                 refined.append((tau_grid, val_grid))
 
-        # smallest tau among values tied with the best (relative 1e-9)
+        # smallest tau (candidates ascend) among values tied with the best (relative 1e-9)
         best_val = max(v for _, v in refined)
-        for tau, val in refined:  # ascending tau
-            if val >= best_val * (1.0 - 1e-9):
-                return float(tau)
-        return float(refined[-1][0])
+        return next(float(tau) for tau, val in refined if val >= best_val * (1.0 - 1e-9))
 
 
 def greedy_run(

@@ -45,6 +45,14 @@ class TestUnitConversions:
         with pytest.raises(ValueError, match="rate"):
             analysis.gamma_ns_to_natural(bad, 20.0)
 
+    def test_rejects_overflow_at_subnormal_coupling(self):
+        # hbar/k_B / J overflows when J/k_B is subnormal
+        with pytest.raises(ValueError, match="not finite"):
+            analysis.natural_time_to_ns(0.5, 1e-320)
+        with pytest.raises(ValueError, match="not finite"):
+            analysis.gamma_ns_to_natural(0.25, 1e-320)
+        assert analysis.natural_time_to_ns(0.0, 1e-320) == 0.0
+
 
 class TestPowerLawFit:
     def test_exact_power_law_recovered(self):

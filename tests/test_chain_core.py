@@ -5,18 +5,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from dualrail.chain_core import (
     ChainSpec,
+    PhaseGrid,
     build_sector_hamiltonian,
     diagonalize,
     first_peak,
-    grid_transition_amplitudes,
+    grid_points,
     propagator_matrix,
     time_scale,
     transition_amplitude,
-    transition_amplitudes,
 )
 from dualrail.scheduler import _EndpointObjective
 
@@ -151,13 +153,6 @@ class TestTransitionAmplitude:
         assert transition_amplitude(dec, 3, 3, 0.0) == pytest.approx(1.0, abs=1e-12)
         assert transition_amplitude(dec, 4, 2, 0.0) == pytest.approx(0.0, abs=1e-12)
 
-    def test_vectorized_matches_scalar(self, dec_cache):
-        dec = dec_cache(7)
-        ts = np.linspace(0.0, 8.0, 17)
-        batch = transition_amplitudes(dec, 7, 1, ts)
-        single = [transition_amplitude(dec, 7, 1, float(t)) for t in ts]
-        np.testing.assert_allclose(batch, single, atol=1e-13)
-
     def test_site_validation(self, dec_cache):
         dec = dec_cache(4)
         with pytest.raises(ValueError, match="site index"):
@@ -174,14 +169,29 @@ class TestPhaseGrid:
     def test_matches_transition_amplitudes(self, dec_cache, n, t0, n_points):
         dec = dec_cache(n)
         step = 0.05
-        got = grid_transition_amplitudes(dec, n, 1, t0, step, n_points)
-        expected = transition_amplitudes(dec, n, 1, t0 + step * np.arange(n_points))
-        assert got.shape == (n_points,)
+        grid = PhaseGrid(dec.energies, t0, t0 + step * (n_points - 1), step)
+        got = grid.sums(dec.modes[-1, :] * dec.modes[0, :])
+        expected = [transition_amplitude(dec, n, 1, t0 + step * j) for j in range(n_points)]
+        assert got.shape == grid.times.shape == (n_points,)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_rejects_empty_grid(self, dec_cache):
         with pytest.raises(ValueError, match="grid"):
-            grid_transition_amplitudes(dec_cache(3), 3, 1, 0.0, 0.1, 0)
+            PhaseGrid(dec_cache(3).energies, 0.0, -0.1, 0.1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t_lo=st.floats(-1e3, 1e3),
+        span=st.floats(0.0, 1e3),
+        step=st.floats(1e-3, 10.0),
+    )
+    def test_times_reach_t_hi_and_stop_there(self, t_lo, span, step):
+        t_hi = t_lo + span
+        times = PhaseGrid(np.zeros(1), t_lo, t_hi, step).times
+        assert len(times) == grid_points(t_lo, t_hi, step)
+        # past t_hi only by the 1e-9 step of rounding slack, and short of it by less than a step
+        assert times[-1] <= t_hi + 1e-9 * step + 1e-12 * max(1.0, abs(t_lo), abs(t_hi))
+        assert t_hi - times[-1] < step
 
     def test_greedy_objective_memory_is_sublinear_in_grid(self, dec_cache):
         # the default window at N = 1000 has G = 29001 grid points; a dense
@@ -193,7 +203,7 @@ class TestPhaseGrid:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert objective.taus.size == 29001
+        assert objective.grid.times.size == 29001
         assert held < 16 * 2**20
 
 

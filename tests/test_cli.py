@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualrail import analysis, cli
-from dualrail.chain_core import ChainSpec, build_sector_hamiltonian, diagonalize, time_scale
+from dualrail.chain_core import (ChainSpec, build_sector_hamiltonian, diagonalize, grid_points,
+                                 time_scale)
 from dualrail.noise import NoiseParams, asymmetric_run
 from dualrail.scheduler import greedy_optimize
 
@@ -22,7 +23,7 @@ from dualrail.scheduler import greedy_optimize
 def run_cli(capsys, *argv):
     try:
         code = cli.main(list(argv))
-    except SystemExit as exc:  # argparse rejects the command line
+    except SystemExit as exc:  # argparse's --help
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -31,7 +32,7 @@ def run_cli(capsys, *argv):
 def assert_validation_error(code, out, err):
     assert code == 2
     assert out == ""
-    assert any(line.startswith(("error:", "dualrail: error:")) for line in err.splitlines()), err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -112,6 +113,21 @@ class TestAmplitude:
         last_t = float(data_section(out)[-1].split(",")[0])
         assert last_t == pytest.approx(1.5 * time_scale(7), abs=1e-9)
 
+    def test_grid_stops_at_t_max(self, capsys):
+        # 0.37 is not a whole number of 0.1 steps: the last point is 0.3, not 0.4
+        code, out, _ = run_cli(capsys, "amplitude", "--n", "5", "--t-max", "0.37", "--dt", "0.1")
+        assert code == 0
+        assert float(data_section(out)[-1].split(",")[0]) == pytest.approx(0.3, abs=1e-12)
+
+    def test_memory_guard_counts_every_grid_point(self, capsys, monkeypatch):
+        guarded = []
+        monkeypatch.setattr(cli, "require_physical_memory", lambda n_bytes, what: guarded.append(n_bytes))
+        code, out, _ = run_cli(capsys, "amplitude", "--n", "5", "--t-max", "0.3", "--dt", "0.1")
+        assert code == 0
+        rows = data_section(out)[data_section(out).index("t_natural,p_transfer") + 1:]
+        assert len(rows) == grid_points(0.0, 0.3, 0.1) == 4
+        assert guarded == [4 * cli._AMPLITUDE_POINT_BYTES]
+
     def test_writes_file(self, capsys, tmp_path):
         path = tmp_path / "amp.csv"
         code, out, _ = run_cli(
@@ -155,7 +171,10 @@ class TestProtocol:
         assert out == ""
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("text", ["{}", "[1.0, 2.0]"])
+    # the config typing rule: 'intervals' is the one key and lists JSON numbers
+    @pytest.mark.parametrize("text", ["{}", "[1.0, 2.0]", '{"intervals": [true, 1.0]}',
+                                      '{"intervals": ["2.5", 1.0]}', '{"intervals": 2.5}',
+                                      '{"intervals": [2.5, 1.0], "extra": 1}'])
     def test_schedule_file_without_intervals_is_validation_error(self, capsys, tmp_path, text):
         path = tmp_path / "sched.json"
         path.write_text(text)
@@ -163,6 +182,16 @@ class TestProtocol:
         assert code == 2
         assert out == ""
         assert "intervals" in err
+
+    def test_schedule_file_integer_interval_passes_as_float(self, capsys, tmp_path):
+        path = tmp_path / "sched.json"
+        outs = []
+        for intervals in ([2, 1], [2.0, 1.0]):
+            path.write_text(json.dumps({"intervals": intervals}))
+            code, out, _ = run_cli(capsys, "protocol", "--n", "5", "--schedule", str(path))
+            assert code == 0
+            outs.append(data_section(out))
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("p_target", ["0", "-1", "1"])
     def test_p_target_outside_unit_interval_is_validation_error(self, capsys, p_target):
@@ -426,7 +455,7 @@ _HOSTILE_VALUES = {
     "dt": [-1.0, 0.0, _NAN, _INF, 0.1, 3.0],
     "t_max": [-1.0, 0.0, _NAN, _INF, 0.1, 3.0],
     "delta": [_NAN, 0.0, 1, 2.5, "x"],
-    "j_kelvin": [_NAN, 0.0, 20, "20"],
+    "j_kelvin": [_NAN, 0.0, 1e-320, 20, "20"],
 }
 # The keys of ``_HOSTILE_VALUES`` each command reads; any other key is unknown to it.
 _HOSTILE_KEYS = {
@@ -467,6 +496,7 @@ class TestHostileConfig:
         assert code in ((2,) if unknown else (0, 2, 3)), (code, err.getvalue())
         if code == 0:
             assert "nan" not in out.getvalue().lower()
+            assert "inf" not in out.getvalue().lower()
         else:
             assert out.getvalue() == ""
             assert err.getvalue().startswith("error:")
@@ -532,6 +562,17 @@ class TestOptionSurface:
         code, out, err = run_cli(capsys, command, *VALID_ARGV[command], *flag)
         assert_validation_error(code, out, err)
         assert "unrecognized arguments" in err
+
+    # an unknown flag is test_flag_the_command_does_not_read_is_rejected
+    @pytest.mark.parametrize("argv", [("protocol", "--n", "abc"), (), ("fit", "--fit", "width")],
+                             ids=["bad-value", "missing-command", "bad-choice"])
+    def test_command_line_error_is_one_error_line(self, capsys, argv):
+        assert_validation_error(*run_cli(capsys, *argv))
+
+    @pytest.mark.parametrize("argv", [("--help",), ("protocol", "--help")])
+    def test_help_exits_zero(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out.startswith("usage: dualrail") and err == ""
 
     @pytest.mark.parametrize("command", sorted(OPTIONS))
     def test_config_keys_are_the_flag_destinations(self, tmp_path, command):
