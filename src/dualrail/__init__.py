@@ -15,8 +15,7 @@ from .chain_core import (
     propagator_matrix,
     transition_amplitude,
 )
-from .noise import NoiseParams
-from .protocol import DualRailState, MeasurementRecord, run_schedule
+from .protocol import DualRailState, MeasurementRecord, NoiseParams, run_schedule
 from .scheduler import Schedule, ThresholdNotReached, greedy_optimize, uniform_schedule
 
 __all__ = [

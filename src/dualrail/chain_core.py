@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,10 @@ _PHYSICAL_MEMORY_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"
 def require_physical_memory(n_bytes: float, what: str) -> None:
     """Raise ValueError when ``what``, sized before it is allocated, exceeds physical memory."""
     if n_bytes > _PHYSICAL_MEMORY_BYTES:
+        # an int past the float range would not divide; its size reads inf
+        gigabytes = n_bytes / 1e9 if n_bytes < sys.float_info.max else math.inf
         raise ValueError(
-            f"{what} would take {n_bytes / 1e9:.3g} GB, "
+            f"{what} would take {gigabytes:.3g} GB, "
             f"more than the {_PHYSICAL_MEMORY_BYTES / 1e9:.3g} GB of physical memory"
         )
 

@@ -26,7 +26,7 @@ from . import analysis, oracle, protocol
 from ._csvio import render_csv, typed, write_text
 from .chain_core import (ChainSpec, PhaseGrid, build_sector_hamiltonian, diagonalize,
                          grid_points, require_physical_memory, time_scale)
-from .noise import NoiseParams, asymmetric_run
+from .noise import NoiseParams
 from .scheduler import Schedule, ThresholdNotReached, greedy_optimize, greedy_run, uniform_schedule
 
 EXIT_OK = 0
@@ -192,8 +192,8 @@ def _l_max(cfg: dict) -> int:
     return l_max
 
 
-def _resolve_noise(cfg: dict):
-    """NoiseParams from one family of natural or laboratory-unit rates, or None."""
+def _resolve_noise(cfg: dict) -> NoiseParams:
+    """NoiseParams from one family of natural or laboratory-unit rates, zero without one."""
     families = (("gamma",), ("gamma_ns",), ("gamma1_ns", "gamma2_ns"))
     if sum(any(key in cfg for key in family) for family in families) > 1:
         raise ValueError("give one of --gamma, --gamma-ns or --gamma1-ns/--gamma2-ns")
@@ -209,32 +209,24 @@ def _resolve_noise(cfg: dict):
         if j_kelvin is None:
             raise ValueError("--gamma-ns needs --j-kelvin")
         return NoiseParams(analysis.gamma_ns_to_natural(cfg["gamma_ns"], j_kelvin))
-    if "gamma" in cfg:
-        return NoiseParams(cfg["gamma"])
-    return None
+    return NoiseParams(cfg.get("gamma", 0.0))
 
 
 def _cmd_protocol(cfg: dict) -> int:
     spec = _chain_spec(cfg)
     dec = diagonalize(build_sector_hamiltonian(spec))
     noise = _resolve_noise(cfg)
-    asymmetric = noise is not None and not noise.symmetric
     source = cfg.get("schedule", "greedy")
     if source in ("greedy", "uniform"):
         l_max = _l_max(cfg)
     elif "l_max" in cfg:
         raise ValueError("a schedule file sets the measurement count; drop --l-max")
     p_target = cfg.get("p_target")
-    if p_target is not None and (source != "greedy" or asymmetric):
+    if p_target is not None and (source != "greedy" or not noise.symmetric):
         raise ValueError("--p-target requires --schedule greedy and symmetric damping")
 
-    if source == "greedy" and not asymmetric:
-        records = greedy_run(
-            dec,
-            l_max=l_max,
-            p_target=p_target,
-            gamma=noise.gamma if noise is not None else 0.0,
-        ).records
+    if source == "greedy" and noise.symmetric:
+        run = greedy_run(dec, l_max=l_max, p_target=p_target, noise=noise)
     else:
         if source == "greedy":  # unequal rail rates replay the noiseless greedy intervals
             schedule = greedy_optimize(dec, l_max=l_max)
@@ -242,10 +234,7 @@ def _cmd_protocol(cfg: dict) -> int:
             schedule = uniform_schedule(spec.n_sites, l_max)
         else:
             schedule = Schedule.from_json(source)
-        if asymmetric:
-            records = asymmetric_run(dec, noise, schedule).records
-        else:
-            records = protocol.run_schedule(dec, schedule, noise=noise).records
+        run = protocol.run_schedule(dec, schedule, noise)
 
     ns_suffix, to_ns = _time_columns(cfg)
     columns = (
@@ -257,11 +246,11 @@ def _cmd_protocol(cfg: dict) -> int:
     rows = [
         (r.index, r.interval, *to_ns(r.interval), r.absolute_time, *to_ns(r.absolute_time),
          r.step_success, r.joint_failure)
-        for r in records
+        for r in run.records
     ]
     meta = {"command": "protocol", "n": spec.n_sites, "schedule": source,
-            "gamma_natural": noise.gamma_1 if noise is not None else 0.0}
-    if asymmetric:
+            "gamma_natural": noise.gamma_1}
+    if not noise.symmetric:
         meta["gamma2_natural"] = noise.gamma_2
         meta["qubit"] = "balanced"
     _emit(render_csv(columns, rows, meta), cfg.get("out"))

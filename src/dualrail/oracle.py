@@ -19,7 +19,6 @@ Conventions (used everywhere in this module):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -28,7 +27,7 @@ import numpy as np
 from . import chain_core, protocol
 from .analysis import gamma_ns_to_natural
 from .chain_core import ChainSpec, build_sector_hamiltonian
-from .noise import NoiseParams, asymmetric_run
+from .noise import NoiseParams
 from .scheduler import greedy_optimize
 
 _SZ = np.array([[-1.0, 0.0], [0.0, 1.0]])  # sz|1> = +|1>
@@ -164,14 +163,15 @@ def dual_rail_protocol_full(
     spec: ChainSpec,
     qubit: LogicalQubit,
     schedule: Sequence[float],
-    gamma: float = 0.0,
+    noise: NoiseParams = NoiseParams(0.0),
     dephasing: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> DualRailFullResult:
     """Explicit two-chain protocol: encode, evolve, decode, measure, repeat.
 
     Joint evolution is exp(-i H t) per chain (kron structure) times the
-    no-jump damping factor exp(-gamma t m) on every m-excitation component
-    when ``gamma`` > 0.  The failure branch is kept unnormalized so every
+    no-jump damping factor exp(-gamma_r t m) on every m-excitation component
+    of chain r, chain 1 at ``noise.gamma_1`` and chain 2 at ``noise.gamma_2``,
+    when either rate is nonzero.  The failure branch is kept unnormalized so every
     recorded probability is joint, exactly as in the reduced protocol.
     ``dephasing``, if given, is applied to the state matrix after each
     evolution interval (used by the decoherence-free-subspace checks).
@@ -182,8 +182,6 @@ def dual_rail_protocol_full(
     intervals = np.asarray(schedule if not hasattr(schedule, "intervals") else schedule.intervals, dtype=float)
     if intervals.size == 0 or not np.all(np.isfinite(intervals) & (intervals > 0)):
         raise ValueError("schedule must be non-empty with finite positive intervals")
-    if not (math.isfinite(gamma) and gamma >= 0):
-        raise ValueError(f"damping rate must be finite and >= 0, got {gamma}")
 
     dim = 1 << n
     energies, vectors = np.linalg.eigh(full_hamiltonian(spec))
@@ -203,9 +201,9 @@ def dual_rail_protocol_full(
     for tau in intervals:
         u = (vectors * np.exp(-1j * energies * tau)) @ vectors.T
         psi = u @ psi @ u.T
-        if gamma > 0.0:
-            damp = np.exp(-gamma * tau * counts)
-            psi = psi * np.outer(damp, damp)
+        if noise.gamma_1 > 0.0 or noise.gamma_2 > 0.0:
+            psi = psi * np.outer(np.exp(-noise.gamma_1 * tau * counts),
+                                 np.exp(-noise.gamma_2 * tau * counts))
         if dephasing is not None:
             psi = dephasing(psi)
         psi = _controlled_flip(psi, 1, control=True)
@@ -380,7 +378,8 @@ def conformance_report(inject_sign_error: bool = False) -> dict:
         dec = chain_core.diagonalize(build_sector_hamiltonian(spec))
         schedule = greedy_optimize(dec, l_max=4)
         for gamma in (0.01, 0.1):
-            full = dual_rail_protocol_full(spec, LogicalQubit(0.6, 0.8j), schedule, gamma=gamma)
+            full = dual_rail_protocol_full(spec, LogicalQubit(0.6, 0.8j), schedule,
+                                           NoiseParams(gamma))
             for step in full.steps:
                 if step.step_success > 1e-12:
                     fid_dev = max(fid_dev, abs(step.decoded_fidelity - 1.0))
@@ -435,7 +434,7 @@ def conformance_report(inject_sign_error: bool = False) -> dict:
     spec20 = ChainSpec(20)
     dec20 = chain_core.diagonalize(build_sector_hamiltonian(spec20))
     sched = greedy_optimize(dec20, l_max=10)
-    asym = asymmetric_run(dec20, NoiseParams(gamma_1=g1, gamma_2=g2), sched)
+    asym = protocol.run_schedule(dec20, sched, NoiseParams(gamma_1=g1, gamma_2=g2))
     info = {
         "asymmetric_total_success": asym.total_success,
         "asymmetric_success_gap_to_0.75": asym.total_success - 0.75,

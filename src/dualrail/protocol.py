@@ -14,9 +14,12 @@ coefficients a = V^T c of the eigenbasis V of the chain, at O(N) per step:
     evolve:   a <- exp(-i E tau) a
     measure:  c_N = u . a with u = V[N-1, :], then a <- a - c_N u
 
-Symmetric amplitude damping at rate gamma is a scalar factor on top:
-c = exp(-gamma t) V a in the no-jump picture, so a step's joint success is
-exp(-2 gamma t) |c_N|^2.  A quantum jump dumps the excitation into the
+Amplitude damping (``NoiseParams``) is one scalar weight on top.  In the
+no-jump picture rail r's component decays as exp(-gamma_r t) while the two
+rails keep the one shared vector c, so a step's joint success is
+W(t) |c_N|^2 with W(t) = (exp(-2 gamma_2 t) + exp(-2 gamma_1 t)) / 2, the
+balanced input qubit's no-jump weight; for equal rates W(t) = exp(-2 gamma t)
+holds for every input qubit.  A quantum jump dumps the excitation into the
 global ground state, which can never herald a success; it is never
 simulated as a state but bookkept as the scalar ``DualRailState.loss``, so
 that total_success + ||c||^2 + loss = 1 at all times.
@@ -34,12 +37,59 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from ._csvio import typed
 from .chain_core import SpectralDecomposition
+
+
+@dataclass(frozen=True)
+class NoiseParams:
+    """Amplitude-damping rates per rail, natural units (J/hbar).
+
+    ``gamma_2`` defaults to ``gamma_1`` (symmetric damping).
+    """
+
+    gamma_1: float
+    gamma_2: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.gamma_2 is None:
+            object.__setattr__(self, "gamma_2", self.gamma_1)
+        for g in (self.gamma_1, self.gamma_2):
+            if not (math.isfinite(g) and g >= 0):
+                raise ValueError(f"damping rates must be finite and >= 0, got {g}")
+
+    @property
+    def symmetric(self) -> bool:
+        return self.gamma_1 == self.gamma_2
+
+    @property
+    def gamma(self) -> float:
+        if not self.symmetric:
+            raise ValueError("gamma is only defined for symmetric damping")
+        return self.gamma_1
+
+    def success_weight(self, t: float) -> float:
+        """No-jump weight of the balanced qubit at time t, exactly exp(-2 gamma t) for equal rates.
+
+        gamma * t goes first, so that a rate whose double overflows still gives
+        weight 1 at t = 0; doubling is exact, so no other value changes.
+        """
+        return 0.5 * (math.exp(-2.0 * (self.gamma_2 * t)) + math.exp(-2.0 * (self.gamma_1 * t)))
+
+    def worst_case_fidelity(self, t: float) -> float:
+        """Decoded fidelity of the balanced qubit at time t, the worst over the Bloch sphere.
+
+        With a = exp(-gamma_2 t) on alpha (rail 2) and b = exp(-gamma_1 t) on
+        beta (rail 1) it is (a+b)^2 / (2 (a^2+b^2)), evaluated through the
+        ratio r = exp(-|gamma_1 - gamma_2| t) <= 1 as (1+r)^2 / (2 (1+r^2)) so
+        that it stays defined when a and b underflow; exactly 1.0 for equal rates.
+        """
+        r = math.exp(-abs(self.gamma_1 - self.gamma_2) * t)
+        return (1.0 + r) ** 2 / (2.0 * (1.0 + r * r))
 
 
 @dataclass(frozen=True)
@@ -93,12 +143,12 @@ class DualRailState:
     """Noiseless mode coefficients of the failure branch plus bookkeeping.
 
     ``coefficients`` holds a = V^T c_0, where c_0 is the site vector the run
-    would have without damping; ``gamma`` is the symmetric damping rate.
+    would have without damping; ``noise`` weights it by ``success_weight``.
     """
 
     dec: SpectralDecomposition
     coefficients: np.ndarray
-    gamma: float = 0.0
+    noise: NoiseParams = NoiseParams(0.0)
     records: list = field(default_factory=list)
     total_success: float = 0.0
     loss: float = 0.0
@@ -123,8 +173,13 @@ class DualRailState:
         return Schedule(intervals=np.array([r.interval for r in self.records]))
 
     @property
+    def min_worst_case_fidelity(self) -> float:
+        """Lowest balanced-qubit decoded fidelity over the run's measurements."""
+        return min(self.noise.worst_case_fidelity(r.absolute_time) for r in self.records)
+
+    @property
     def amplitudes(self) -> np.ndarray:
-        """Site amplitudes c = exp(-gamma t) V a, derived on each call.
+        """Site amplitudes c = sqrt(W(t)) V a, so that ||c||^2 = ``norm_sq()``, derived on each call.
 
         Exactly e_1 before the first evolution, and c_N is exactly 0 right
         after a measurement, as in the exact state.
@@ -133,20 +188,20 @@ class DualRailState:
             c = np.zeros(self.n_sites, dtype=complex)
             c[0] = 1.0
             return c
-        c = math.exp(-self.gamma * self.time) * (self.dec.modes @ self.coefficients)
+        c = math.sqrt(self.noise.success_weight(self.time)) * (self.dec.modes @ self.coefficients)
         if self._pending_interval == 0.0:
             c[-1] = 0.0
         return c
 
     def norm_sq(self) -> float:
         a = self.coefficients
-        return math.exp(-2.0 * self.gamma * self.time) * float(np.vdot(a, a).real)
+        return self.noise.success_weight(self.time) * float(np.vdot(a, a).real)
 
     def normalized(self) -> np.ndarray:
         return self.amplitudes / math.sqrt(self.norm_sq())
 
 
-def init_state(dec: SpectralDecomposition, gamma: float = 0.0) -> DualRailState:
+def init_state(dec: SpectralDecomposition, noise: NoiseParams = NoiseParams(0.0)) -> DualRailState:
     """Excitation at site 1, nothing measured yet.
 
     The unit vector e_1 stands for the excitation shared by both rails; the
@@ -155,20 +210,21 @@ def init_state(dec: SpectralDecomposition, gamma: float = 0.0) -> DualRailState:
     """
     if dec.n_sites < 2:
         raise ValueError(f"n_sites must be >= 2, got {dec.n_sites}")
-    if not (math.isfinite(gamma) and gamma >= 0):
-        raise ValueError(f"damping rate must be finite and >= 0, got {gamma}")
-    return DualRailState(dec=dec, coefficients=dec.modes[0, :].astype(complex), gamma=gamma)
+    return DualRailState(dec=dec, coefficients=dec.modes[0, :].astype(complex), noise=noise)
 
 
 def evolve(state: DualRailState, tau: float) -> DualRailState:
-    """Conditional evolution c <- exp(-gamma tau) F(tau) c, as a <- exp(-i E tau) a.
+    """Conditional evolution c <- F(tau) c under the damping weight, as a <- exp(-i E tau) a.
 
-    The squared-norm deficit of the damping goes into ``state.loss`` (jump
-    probability); without damping the evolution is norm preserving.
+    The squared-norm deficit of the damping, ||a||^2 (W(t) - W(t + tau)),
+    goes into ``state.loss`` (jump probability); without damping the
+    evolution is norm preserving.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"evolution interval must be finite and positive, got {tau}")
-    state.loss += state.norm_sq() * -math.expm1(-2.0 * state.gamma * tau)
+    a = state.coefficients
+    weight = state.noise.success_weight
+    state.loss += float(np.vdot(a, a).real) * (weight(state.time) - weight(state.time + tau))
     state.coefficients *= np.exp(-1j * state.dec.energies * tau)
     state.time += tau
     state._pending_interval += tau
@@ -184,7 +240,7 @@ def measure(state: DualRailState) -> tuple[float, DualRailState]:
     u = state.dec.modes[-1, :]
     c_n = complex(u @ state.coefficients)
     state.coefficients -= c_n * u
-    step_success = math.exp(-2.0 * state.gamma * state.time) * abs(c_n) ** 2
+    step_success = state.noise.success_weight(state.time) * abs(c_n) ** 2
     state.total_success += step_success
     record = MeasurementRecord(
         index=len(state.records) + 1,
@@ -201,18 +257,19 @@ def measure(state: DualRailState) -> tuple[float, DualRailState]:
 def run_schedule(
     dec: SpectralDecomposition,
     schedule: Union[Sequence[float], "object"],
-    noise=None,
+    noise: NoiseParams = NoiseParams(0.0),
 ) -> DualRailState:
     """Alternate evolution and measurement for every interval of ``schedule``.
 
     ``schedule`` is anything with an ``intervals`` attribute (a Schedule) or a
     plain sequence of finite positive times, which ``evolve`` checks.
-    ``noise`` (symmetric NoiseParams) damps the run at its rate ``gamma``.
+    ``noise`` damps the run; with unequal rates every record is the balanced
+    input qubit's.
     """
     intervals = np.asarray(getattr(schedule, "intervals", schedule), dtype=float)
     if intervals.size == 0:
         raise ValueError("schedule must contain at least one interval")
-    state = init_state(dec, gamma=0.0 if noise is None else noise.gamma)
+    state = init_state(dec, noise)
     for tau in intervals:
         evolve(state, float(tau))
         measure(state)

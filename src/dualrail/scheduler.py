@@ -21,7 +21,7 @@ import numpy as np
 
 from . import protocol
 from .chain_core import PhaseGrid, SpectralDecomposition, _golden_max, time_scale
-from .protocol import DualRailState, Schedule
+from .protocol import DualRailState, NoiseParams, Schedule
 
 _GRID_STEP = 0.05
 
@@ -90,12 +90,13 @@ class _EndpointObjective:
         best_grid = float(np.max(obj))
 
         # grid local maxima (and boundary points beating their neighbour)
-        # close enough to the best that refinement could promote them
+        # close enough to the best that refinement could promote them; a
+        # plateau counts at its first point, so ties go to the smaller tau
         left = np.empty_like(obj)
         right = np.empty_like(obj)
         left[0], left[1:] = -np.inf, obj[:-1]
         right[-1], right[:-1] = -np.inf, obj[1:]
-        is_peak = (obj >= left) & (obj > right)
+        is_peak = (obj > left) & (obj >= right)
         candidates = np.nonzero(is_peak & (obj >= 0.95 * best_grid))[0]
 
         f = self.refine_objective(w)
@@ -123,15 +124,15 @@ def greedy_run(
     l_max: Optional[int] = None,
     p_target: Optional[float] = None,
     step_success_tol: Optional[float] = None,
-    gamma: float = 0.0,
+    noise: NoiseParams = NoiseParams(0.0),
 ) -> DualRailState:
     """Run the protocol with greedily optimized intervals until a stop condition.
 
     Stop conditions (at least one required): ``l_max`` measurements done,
     joint failure below ``p_target``, or last joint step success below
-    ``step_success_tol`` (plateau detection for damped runs).  ``gamma`` > 0
-    damps the run at that symmetric rate; the objective then includes the
-    exp(-2*gamma*tau) penalty for waiting.
+    ``step_success_tol`` (plateau detection for damped runs).  ``noise``
+    damps the run at its symmetric rate gamma (unequal rates raise); the
+    objective then includes the exp(-2*gamma*tau) penalty for waiting.
 
     Raises ThresholdNotReached when ``p_target`` is given and the run stops
     above it.
@@ -143,8 +144,8 @@ def greedy_run(
     if p_target is not None and not 0.0 < p_target < 1.0:
         raise ValueError(f"p_target must be in (0, 1), got {p_target}")
 
-    objective = _EndpointObjective(dec, gamma)
-    state = protocol.init_state(dec, gamma)
+    objective = _EndpointObjective(dec, noise.gamma)
+    state = protocol.init_state(dec, noise)
     end_row = dec.modes[-1, :]
     while l_max is None or len(state.records) < l_max:
         protocol.evolve(state, objective.best_tau(end_row * state.coefficients))

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualrail import analysis, cli
+from dualrail import analysis, cli, protocol
 from dualrail.chain_core import (ChainSpec, build_sector_hamiltonian, diagonalize, grid_points,
                                  time_scale)
-from dualrail.noise import NoiseParams, asymmetric_run
+from dualrail.noise import NoiseParams
 from dualrail.scheduler import greedy_optimize
 
 
@@ -220,7 +220,7 @@ class TestProtocol:
             gamma_1=analysis.gamma_ns_to_natural(0.25, 20.0),
             gamma_2=analysis.gamma_ns_to_natural(0.238, 20.0),
         )
-        run = asymmetric_run(dec, noise, greedy_optimize(dec, 10))
+        run = protocol.run_schedule(dec, greedy_optimize(dec, 10), noise)
         expected = run.total_success
         assert 1.0 - float(rows[-1][-1]) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.9659, abs=1e-4)
@@ -267,14 +267,13 @@ class TestProtocol:
 
     @pytest.mark.parametrize(
         "flags",
-        [(), ("--schedule", "uniform"), ("--p-target", "1e-3")],
-        ids=["greedy", "uniform", "p-target"],
+        [(), ("--schedule", "uniform"), ("--p-target", "1e-3"), ("--l-max", "1" + "0" * 400)],
+        ids=["greedy", "uniform", "p-target", "past-float-range"],
     )
     def test_measurements_too_many_for_memory_is_validation_error(self, capsys, flags):
-        code, out, err = run_cli(capsys, "protocol", "--n", "20", *flags, "--l-max", "1000000000000")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "physical memory" in err
+        code, out, err = run_cli(capsys, "protocol", "--n", "20", "--l-max", "1000000000000", *flags)
+        assert_validation_error(code, out, err)
+        assert "physical memory" in err
 
     @pytest.mark.parametrize(
         "rates",

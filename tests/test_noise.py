@@ -42,17 +42,24 @@ class TestEvolveDamped:
 
     def test_probability_conservation_with_loss(self, dec_cache):
         dec = dec_cache(6)
-        noise = NoiseParams(0.05)
         taus = (2.0, 3.5, 1.5)
-        for l in range(1, len(taus) + 1):
-            state = protocol.run_schedule(dec, taus[:l], noise=noise)
-            assert state.total_success + state.norm_sq() + state.loss == pytest.approx(
-                1.0, abs=1e-12
-            )
+        # 1e308: twice the rate overflows, yet the weight at t = 0 is 1
+        for noise in (NoiseParams(0.05), NoiseParams(0.05, 0.2), NoiseParams(1e308)):
+            for l in range(1, len(taus) + 1):
+                state = protocol.run_schedule(dec, taus[:l], noise=noise)
+                assert state.total_success + state.norm_sq() + state.loss == pytest.approx(
+                    1.0, abs=1e-12
+                )
 
-    def test_rejects_asymmetric_rates(self, dec_cache):
-        with pytest.raises(ValueError, match="symmetric"):
-            protocol.run_schedule(dec_cache(4), [1.0], noise=NoiseParams(0.1, 0.2))
+    def test_unequal_rates_weight_each_step(self, dec_cache):
+        # the balanced qubit's joint step successes are the noiseless ones times W(t)
+        dec = dec_cache(6)
+        noise = NoiseParams(0.1, 0.02)
+        free = protocol.run_schedule(dec, [1.0, 2.5, 4.0])
+        damped = protocol.run_schedule(dec, [1.0, 2.5, 4.0], noise)
+        for rec_f, rec_d in zip(free.records, damped.records):
+            expected = noise.success_weight(rec_f.absolute_time) * rec_f.step_success
+            assert rec_d.step_success == expected
 
     def test_step_success_factorization(self, dec_cache):
         # joint step successes pick up exactly exp(-2 Gamma t) vs noiseless
@@ -100,7 +107,8 @@ class TestPInfinity:
         # N = 40, J/Gamma = 50 K ns: the damped greedy run goes on until a step
         # succeeds with less than 1e-12, and its plateau must not drift
         gamma = analysis.gamma_to_natural(50.0)
-        run = greedy_run(dec_cache(40), gamma=gamma, step_success_tol=1e-12, l_max=100_000)
+        run = greedy_run(dec_cache(40), noise=NoiseParams(gamma), step_success_tol=1e-12,
+                         l_max=100_000)
         assert len(run.records) == 174
         assert run.records[-1].joint_failure == pytest.approx(0.06396281942012771, abs=1e-12)
         state = run
@@ -116,39 +124,38 @@ class TestPInfinity:
 class TestAsymmetricRun:
     def test_symmetric_rates_give_unit_fidelity(self, dec_cache):
         dec = dec_cache(8)
-        result = asymmetric_run(dec, NoiseParams(0.01), uniform_schedule(8, 5))
-        assert result.min_worst_case_fidelity == pytest.approx(1.0, abs=1e-12)
+        result = protocol.run_schedule(dec, uniform_schedule(8, 5), NoiseParams(0.01))
+        assert result.min_worst_case_fidelity == 1.0
 
     def test_matches_symmetric_protocol_success(self, dec_cache):
+        # the kept asymmetric_run name is the one damped loop, for any rates
         dec = dec_cache(8)
-        gamma = 0.02
         schedule = uniform_schedule(8, 6)
-        asym = asymmetric_run(dec, NoiseParams(gamma), schedule)
-        sym = protocol.run_schedule(dec, schedule, noise=NoiseParams(gamma))
-        assert asym.total_success == pytest.approx(sym.total_success, abs=1e-12)
-        assert len(asym.records) == len(sym.records)
-        for a, s in zip(asym.records, sym.records):
-            assert a.step_success == pytest.approx(s.step_success, abs=1e-14)
-            assert a.joint_failure == pytest.approx(s.joint_failure, abs=1e-14)
+        for noise in (NoiseParams(0.02), NoiseParams(0.02, 0.05)):
+            asym = asymmetric_run(dec, noise, schedule)
+            sym = protocol.run_schedule(dec, schedule, noise)
+            assert asym.total_success == sym.total_success
+            assert asym.records == sym.records
 
     def test_worst_case_formula(self, dec_cache):
         dec = dec_cache(6)
         noise = NoiseParams(gamma_1=0.04, gamma_2=0.01)
-        result = asymmetric_run(dec, noise, [6.0, 6.0])
+        result = protocol.run_schedule(dec, [6.0, 6.0], noise)
         for step in result.records:
             a = math.exp(-noise.gamma_2 * step.absolute_time)
             b = math.exp(-noise.gamma_1 * step.absolute_time)
             expected = (a + b) ** 2 / (2.0 * (a * a + b * b))
-            assert step.worst_case_fidelity == pytest.approx(expected, abs=1e-14)
+            assert noise.worst_case_fidelity(step.absolute_time) == pytest.approx(expected, abs=1e-14)
+        assert result.min_worst_case_fidelity == noise.worst_case_fidelity(12.0)
 
     def test_fidelity_degrades_with_rate_gap(self, dec_cache):
         dec = dec_cache(6)
         schedule = uniform_schedule(6, 4)
-        narrow = asymmetric_run(dec, NoiseParams(0.02, 0.021), schedule)
-        wide = asymmetric_run(dec, NoiseParams(0.02, 0.08), schedule)
+        narrow = protocol.run_schedule(dec, schedule, NoiseParams(0.02, 0.021))
+        wide = protocol.run_schedule(dec, schedule, NoiseParams(0.02, 0.08))
         assert wide.min_worst_case_fidelity < narrow.min_worst_case_fidelity
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
     def test_rejects_bad_intervals(self, dec_cache, bad):
         with pytest.raises(ValueError, match="positive"):
-            asymmetric_run(dec_cache(4), NoiseParams(0.01), [bad, 4.0])
+            protocol.run_schedule(dec_cache(4), [bad, 4.0], NoiseParams(0.01, 0.03))

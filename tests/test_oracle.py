@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from dualrail import oracle
+from dualrail import oracle, protocol
 from dualrail.chain_core import (ChainSpec, build_sector_hamiltonian, diagonalize,
                                  transition_amplitude)
+from dualrail.protocol import NoiseParams
+from dualrail.scheduler import greedy_optimize
 
 
 class TestBasisConventions:
@@ -126,8 +128,25 @@ class TestDualRailProtocolFull:
     def test_damping_removes_norm(self):
         qb = oracle.LogicalQubit(0.6, 0.8j)
         free = oracle.dual_rail_protocol_full(ChainSpec(3), qb, [2.0])
-        damped = oracle.dual_rail_protocol_full(ChainSpec(3), qb, [2.0], gamma=0.1)
+        damped = oracle.dual_rail_protocol_full(ChainSpec(3), qb, [2.0], NoiseParams(0.1))
         assert damped.total_success < free.total_success
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("rates", [(0.05, 0.01), (0.0, 0.2), (0.1, 0.1)])
+    def test_rail_rates_match_reduced_protocol(self, n, rates):
+        # chain 1 damped at gamma_1 and chain 2 at gamma_2 in the full 4^N state;
+        # the reduced loop carries the balanced qubit as one weight per step
+        noise = NoiseParams(*rates)
+        dec = diagonalize(build_sector_hamiltonian(ChainSpec(n)))
+        schedule = greedy_optimize(dec, l_max=5)
+        reduced = protocol.run_schedule(dec, schedule, noise)
+        balanced = oracle.LogicalQubit(math.sqrt(0.5), math.sqrt(0.5))
+        full = oracle.dual_rail_protocol_full(ChainSpec(n), balanced, schedule, noise)
+        np.testing.assert_allclose(full.p_trajectory, reduced.p_trajectory, rtol=0, atol=1e-12)
+        for step in full.steps:
+            if step.step_success > 1e-12:
+                assert step.decoded_fidelity == pytest.approx(
+                    noise.worst_case_fidelity(step.absolute_time), abs=1e-12)
 
     @pytest.mark.parametrize("schedule", [[math.nan, 1.0], [math.inf], [1.0, -2.0]])
     def test_rejects_bad_intervals(self, schedule):
@@ -138,7 +157,7 @@ class TestDualRailProtocolFull:
     def test_rejects_bad_damping_rate(self, gamma):
         with pytest.raises(ValueError, match="damping rate"):
             oracle.dual_rail_protocol_full(
-                ChainSpec(3), oracle.LogicalQubit(0.6, 0.8j), [1.0], gamma=gamma
+                ChainSpec(3), oracle.LogicalQubit(0.6, 0.8j), [1.0], NoiseParams(gamma)
             )
 
     def test_size_cap(self):

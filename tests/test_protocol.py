@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dualrail import protocol
 from dualrail.chain_core import SpectralDecomposition, propagator_matrix
+from dualrail.protocol import NoiseParams
 from dualrail.scheduler import Schedule
 
 
@@ -28,7 +29,7 @@ class TestInitState:
     @pytest.mark.parametrize("gamma", [-0.05, math.nan, math.inf])
     def test_rejects_bad_damping_rate(self, dec_cache, gamma):
         with pytest.raises(ValueError, match="damping rate"):
-            protocol.init_state(dec_cache(4), gamma)
+            protocol.init_state(dec_cache(4), NoiseParams(gamma))
 
 
 class TestEvolveMeasure:
@@ -108,15 +109,16 @@ class TestRunSchedule:
         assert result.schedule.intervals.tolist() == [2.0, 3.0]
 
 
-def site_basis_failures(dec, taus, gamma):
-    """P(l) of a damped run propagated as a site vector through dense F(tau)."""
-    c = np.zeros(dec.n_sites, dtype=complex)
-    c[0] = 1.0
+def site_basis_failures(dec, taus, noise):
+    """P(l) of the balanced qubit, each rail's site vector damped at its own rate through dense F(tau)."""
+    rails = np.zeros((2, dec.n_sites), dtype=complex)
+    rails[:, 0] = math.sqrt(0.5)
+    rates = np.array([noise.gamma_1, noise.gamma_2])
     p, out = 1.0, []
     for tau in taus:
-        c = math.exp(-gamma * tau) * (propagator_matrix(dec, tau) @ c)
-        p -= abs(c[-1]) ** 2
-        c[-1] = 0.0
+        rails = np.exp(-rates * tau)[:, None] * (rails @ propagator_matrix(dec, tau).T)
+        p -= float(np.sum(np.abs(rails[:, -1]) ** 2))
+        rails[:, -1] = 0.0
         out.append(p)
     return np.array(out)
 
@@ -126,17 +128,18 @@ def damped_runs(draw):
     n = draw(st.integers(min_value=2, max_value=30))
     interval = st.floats(min_value=0.0, max_value=2.0 * n, exclude_min=True)
     taus = draw(st.lists(interval, min_size=1, max_size=20))
-    gamma = draw(st.floats(min_value=0.0, max_value=0.1))
-    return n, taus, gamma
+    rate = st.floats(min_value=0.0, max_value=0.1)
+    noise = NoiseParams(draw(rate), draw(st.one_of(st.none(), rate)))  # None: equal rates
+    return n, taus, noise
 
 
 class TestEngineProperties:
     @settings(max_examples=100, deadline=None, database=None)
     @given(damped_runs())
     def test_matches_site_basis_replay(self, dec_cache, run):
-        n, taus, gamma = run
+        n, taus, noise = run
         dec = dec_cache(n)
-        state = protocol.init_state(dec, gamma)
+        state = protocol.init_state(dec, noise)
         for tau in taus:
             protocol.evolve(state, tau)
             step, _ = protocol.measure(state)
@@ -144,4 +147,4 @@ class TestEngineProperties:
             assert abs(state.total_success + state.norm_sq() + state.loss - 1.0) <= 1e-12
         p = np.array([r.joint_failure for r in state.records])
         assert np.all(np.diff(p) <= 0.0)
-        np.testing.assert_allclose(p, site_basis_failures(dec, taus, gamma), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p, site_basis_failures(dec, taus, noise), rtol=0, atol=1e-12)

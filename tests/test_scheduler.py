@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualrail import protocol
+from dualrail.protocol import NoiseParams
 from dualrail.scheduler import (
     Schedule,
     _EndpointObjective,
@@ -70,6 +71,10 @@ class TestGreedy:
         # pi/4 exactly, and the optimizer must pick the earlier one
         run = greedy_run(dec_cache(2), l_max=1)
         assert run.schedule.intervals[0] < 1.0
+        # exp(-2 gamma tau) is 0 over the whole window: every grid point ties,
+        # so each step waits the window's lower edge
+        run = greedy_run(dec_cache(5), l_max=2, noise=NoiseParams(1e300))
+        assert run.schedule.intervals.tolist() == [default_window(5)[0]] * 2
 
     def test_deterministic(self, dec_cache):
         a = greedy_optimize(dec_cache(9), l_max=6)
@@ -115,12 +120,12 @@ class TestGreedy:
 
     def test_rejects_negative_damping_rate(self, dec_cache):
         with pytest.raises(ValueError, match="damping rate"):
-            greedy_run(dec_cache(10), l_max=20, gamma=-0.05)
+            greedy_run(dec_cache(10), l_max=20, noise=NoiseParams(-0.05))
 
     def test_damped_objective_penalizes_waiting(self, dec_cache):
         # with heavy damping the chosen intervals can only get shorter
         free = greedy_run(dec_cache(8), l_max=1)
-        damped = greedy_run(dec_cache(8), l_max=1, gamma=0.5)
+        damped = greedy_run(dec_cache(8), l_max=1, noise=NoiseParams(0.5))
         assert damped.schedule.intervals[0] <= free.schedule.intervals[0] + 1e-9
 
     def test_matches_replayed_schedule(self, dec_cache):
