@@ -3,7 +3,8 @@
 Layout: '# key=value' metadata lines, a '# digest=sha256:...' line over the
 data section, one '# generated=...' timestamp line (the only
 non-reproducible byte in the file), then the column header and rows.
-Floats are written with 17 significant digits, UTF-8, LF newlines.
+Rows are tuples, written by one '%' template per table that is typed by the first
+row: 17 significant digits for a float, str otherwise.  UTF-8, LF newlines.
 """
 
 from __future__ import annotations
@@ -19,18 +20,18 @@ def format_value(v) -> str:
 
 
 def render_csv(columns, rows, metadata=None) -> str:
-    data_lines = [",".join(columns)]
-    for row in rows:
-        data_lines.append(",".join(format_value(v) for v in row))
-    data_section = "\n".join(data_lines) + "\n"
+    rows = iter(rows)
+    first = next(rows, None)
+    lines = [",".join(columns) + "\n"]
+    if first is not None:
+        template = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
+        lines.append(template % first)
+        lines += map(template.__mod__, rows)
+    data_section = "".join(lines)
     digest = hashlib.sha256(data_section.encode("utf-8")).hexdigest()
-
-    header_lines = []
-    for key, value in (metadata or {}).items():
-        header_lines.append(f"# {key}={format_value(value)}")
-    header_lines.append(f"# digest=sha256:{digest}")
+    header_lines = [f"# {key}={format_value(value)}" for key, value in (metadata or {}).items()]
     now = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
-    header_lines.append(f"# generated={now}")
+    header_lines += [f"# digest=sha256:{digest}", f"# generated={now}"]
     return "\n".join(header_lines) + "\n" + data_section
 
 

@@ -34,11 +34,11 @@ EXIT_VALIDATION = 2
 EXIT_THRESHOLD = 3
 EXIT_CONFORMANCE = 4
 
-# Peak memory of one output row, run through rendered CSV, as peak-RSS growth on
-# CPython 3.11 (x86-64): 330 B per `amplitude` grid point at 10^6 points and
-# 657 B per `protocol` measurement at 10^6 uniform steps, rounded up.
+# Peak memory of one output row, run through rendered CSV, as peak-RSS growth in a fresh
+# CPython 3.11 (x86-64) process at 10^6 rows, ns columns on: 368 B per `amplitude` grid
+# point and 788 B per damped uniform `protocol` measurement, rounded up.
 _AMPLITUDE_POINT_BYTES = 400
-_MEASUREMENT_BYTES = 700
+_MEASUREMENT_BYTES = 850
 
 
 class _Parser(argparse.ArgumentParser):
@@ -178,10 +178,11 @@ def _cmd_amplitude(cfg: dict) -> int:
     probs = np.abs(grid.sums(dec.modes[-1, :] * dec.modes[0, :])) ** 2
     ns_suffix, to_ns = _time_columns(cfg)
     columns = ("t_natural", *(f"t{s}" for s in ns_suffix), "p_transfer")
-    rows = [(float(t), *to_ns(float(t)), float(p)) for t, p in zip(grid.times, probs)]
+    times = grid.times.tolist()
+    ns_cells = [[to_ns(t)[0] for t in times] for _ in ns_suffix]
     meta = {"command": "amplitude", "n": spec.n_sites, "delta": spec.anisotropy,
             "b_field": spec.field}
-    _emit(render_csv(columns, rows, meta), cfg.get("out"))
+    _emit(render_csv(columns, zip(times, *ns_cells, probs.tolist()), meta), cfg.get("out"))
     return EXIT_OK
 
 

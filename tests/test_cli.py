@@ -1,6 +1,7 @@
 """Unit tests of the command-line interface: commands, config merge, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -9,11 +10,13 @@ import pathlib
 import re
 import shlex
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualrail import analysis, cli, protocol
+from dualrail._csvio import format_value, render_csv
 from dualrail.chain_core import (ChainSpec, build_sector_hamiltonian, diagonalize, grid_points,
                                  time_scale)
 from dualrail.noise import NoiseParams
@@ -529,6 +532,71 @@ class TestFigure:
         _, first, _ = run_cli(capsys, "figure", "--fig", "2")
         _, second, _ = run_cli(capsys, "figure", "--fig", "2")
         assert data_section(first) == data_section(second)
+
+
+# The integer columns of every emitted table; all other data columns hold floats.
+INT_COLUMNS = {"l", "N"}
+
+
+def per_value_rows(lines):
+    """Column header and rows re-formatted one value at a time: 17 digits for a float, str for an int."""
+    header, *rows = lines
+    is_int = [c in INT_COLUMNS for c in header.split(",")]
+    return [header] + [
+        ",".join(str(int(x)) if i else format(float(x), ".17g") for i, x in zip(is_int, row.split(",")))
+        for row in rows
+    ]
+
+
+class TestCsvOutput:
+    @pytest.mark.parametrize("argv", [
+        ("amplitude", "--n", "7", "--t-max", "4", "--dt", "0.01"),
+        ("amplitude", "--n", "7", "--t-max", "4", "--dt", "0.01", "--j-kelvin", "20"),
+        ("protocol", "--n", "12", "--l-max", "15"),
+        ("protocol", "--n", "12", "--l-max", "15", "--schedule", "uniform"),
+        ("protocol", "--n", "12", "--schedule", "SCHEDULE"),
+        ("protocol", "--n", "12", "--l-max", "15", "--gamma", "0.003"),
+        ("protocol", "--n", "12", "--l-max", "15", "--j-kelvin", "20", "--gamma-ns", "0.2"),
+        ("protocol", "--n", "12", "--l-max", "15", "--j-kelvin", "20",
+         "--gamma1-ns", "0.25", "--gamma2-ns", "0.238"),
+        ("figure", "--fig", "2"),
+        ("figure", "--fig", "3"),
+        ("figure", "--fig", "4"),
+    ], ids=" ".join)
+    def test_cells_have_their_per_value_bytes(self, capsys, tmp_path, argv):
+        schedule = tmp_path / "sched.json"
+        schedule.write_text(json.dumps({"intervals": [0.5, 1, 7.25, 1e-3, 12.0]}))
+        argv = [str(schedule) if a == "SCHEDULE" else a for a in argv]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        lines = data_section(out)
+        data = lines[next(i for i, l in enumerate(lines) if not l.startswith("#")):]
+        assert len(data) > 2
+        assert per_value_rows(data) == data
+        digest = hashlib.sha256(("\n".join(per_value_rows(data)) + "\n").encode()).hexdigest()
+        assert f"# digest=sha256:{digest}" in lines
+
+    def test_render_csv_matches_format_value(self):
+        rows = [(0, -0.0, np.float64(0.1)),
+                (2**60, 5e-324, np.float64(1 / 3)),
+                (0, 1e-300, 1e308),
+                (2**60, 0.1, 1 / 3)]
+        expected = "i,x,y\n" + "".join(",".join(map(format_value, row)) + "\n" for row in rows)
+        assert expected.splitlines()[1:3] == ["0,-0,0.10000000000000001",
+                                              "1152921504606846976,4.9406564584124654e-324,"
+                                              "0.33333333333333331"]
+        text = render_csv(("i", "x", "y"), iter(rows))
+        digest_line, generated_line, data = text.split("\n", 2)
+        assert data == expected
+        assert digest_line == f"# digest=sha256:{hashlib.sha256(expected.encode()).hexdigest()}"
+        assert generated_line.startswith("# generated=")
+
+    def test_render_csv_empty_table_is_the_header_line(self):
+        text = render_csv(("t_natural", "p_transfer"), [], {"n": 3})
+        meta_line, digest_line, _, data = text.split("\n", 3)
+        assert meta_line == "# n=3"
+        assert data == "t_natural,p_transfer\n"
+        assert digest_line == f"# digest=sha256:{hashlib.sha256(data.encode()).hexdigest()}"
 
 
 REMOVED_FLAGS = [
