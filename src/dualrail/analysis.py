@@ -22,39 +22,38 @@ from .scheduler import greedy_run
 #: hbar / k_B in ns * K (CODATA, 5 significant figures)
 HBAR_OVER_KB_NS_K = 7.6382e-3
 
-
-def _check_coupling(coupling_kelvin: float) -> None:
-    if not (math.isfinite(coupling_kelvin) and coupling_kelvin > 0):
-        raise ValueError(f"coupling must be finite and positive, got {coupling_kelvin} K")
+_COUPLING_CHECK = "coupling must be finite and positive, got {kelvin} K"
 
 
-def _finite(value: float, what: str, coupling_kelvin: float) -> float:
+def _times_hbar_over_kb(x: float, kelvin: float, check: str, overflow: str) -> float:
+    """x * hbar/k_B / kelvin; the message templates are formatted only on failure."""
+    if not (math.isfinite(kelvin) and kelvin > 0):
+        raise ValueError(check.format(kelvin=kelvin))
+    value = x * HBAR_OVER_KB_NS_K / kelvin
     if not math.isfinite(value):
-        raise ValueError(f"{what} is not finite at J/k_B = {coupling_kelvin} K")
+        raise ValueError(overflow.format(x=x, kelvin=kelvin))
     return value
 
 
 def natural_time_to_ns(t_natural: float, coupling_kelvin: float) -> float:
     """Convert a time in hbar/J units to ns, given J/k_B in Kelvin."""
-    _check_coupling(coupling_kelvin)
-    return _finite(t_natural * HBAR_OVER_KB_NS_K / coupling_kelvin,
-                   f"time {t_natural} hbar/J in ns", coupling_kelvin)
+    return _times_hbar_over_kb(t_natural, coupling_kelvin, _COUPLING_CHECK,
+                               "time {x} hbar/J in ns is not finite at J/k_B = {kelvin} K")
 
 
 def gamma_to_natural(j_over_gamma_kelvin_ns: float) -> float:
     """Damping rate in natural units from the figure parameter J/Gamma (K ns)."""
-    if not (math.isfinite(j_over_gamma_kelvin_ns) and j_over_gamma_kelvin_ns > 0):
-        raise ValueError(f"J/Gamma must be finite and positive, got {j_over_gamma_kelvin_ns}")
-    return HBAR_OVER_KB_NS_K / j_over_gamma_kelvin_ns
+    return _times_hbar_over_kb(1.0, j_over_gamma_kelvin_ns,
+                               "J/Gamma must be finite and positive, got {kelvin}",
+                               "damping rate is not finite at J/Gamma = {kelvin} K ns")
 
 
 def gamma_ns_to_natural(rate_per_ns: float, coupling_kelvin: float) -> float:
     """Damping rate in natural units from a laboratory rate in 1/ns."""
     if not (math.isfinite(rate_per_ns) and rate_per_ns >= 0):
         raise ValueError(f"rate must be finite and >= 0, got {rate_per_ns}")
-    _check_coupling(coupling_kelvin)
-    return _finite(rate_per_ns * HBAR_OVER_KB_NS_K / coupling_kelvin,
-                   f"rate {rate_per_ns}/ns in J/hbar units", coupling_kelvin)
+    return _times_hbar_over_kb(rate_per_ns, coupling_kelvin, _COUPLING_CHECK,
+                               "rate {x}/ns in J/hbar units is not finite at J/k_B = {kelvin} K")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Single-excitation dynamics of an open spin chain.
 
 Everything in this package works in natural units: hbar = 1 and energies in
-units of the exchange coupling J, so one time unit is hbar/J.
+units of the exchange coupling J, so J = 1 and one time unit is hbar/J.
 
 Sign convention: time evolution is exp(-i H t).  Transfer probabilities and
 every quantity measured by the protocol depend only on |amplitude|^2 or on
@@ -10,14 +10,14 @@ identical observables.
 
 The chain Hamiltonian (Pauli matrices, open boundary) is
 
-    H = -J sum_n [sx_n sx_{n+1} + sy_n sy_{n+1} + delta * sz_n sz_{n+1}]
+    H = -sum_n [sx_n sx_{n+1} + sy_n sy_{n+1} + delta * sz_n sz_{n+1}]
         + B sum_n sz_n  -  E_g
 
 with sz|excited> = +|excited> and E_g the fully-polarized ground energy, so
 the zero-excitation state sits exactly at energy zero and accrues no phase.
 Restricted to the single-excitation subspace span{|n>} this is a real
-symmetric tridiagonal matrix: off-diagonal -2J, diagonal
-2*J*delta*(bonds touching site n) + 2B.
+symmetric tridiagonal matrix: off-diagonal -2, diagonal
+2*delta*(bonds touching site n) + 2B.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ class ChainSpec:
     Parameters
     ----------
     n_sites : number of spins, at least 2.
-    coupling : exchange constant J > 0 (natural units, default 1).
     anisotropy : z-coupling multiplier delta (1 = isotropic Heisenberg).
     field : uniform z-field B.  Shifts all sector energies by the same
         amount, so it changes no transfer probability; kept as a parameter
@@ -62,7 +61,6 @@ class ChainSpec:
     """
 
     n_sites: int
-    coupling: float = 1.0
     anisotropy: float = 1.0
     field: float = 0.0
 
@@ -70,8 +68,6 @@ class ChainSpec:
         if self.n_sites < 2:
             raise ValueError(f"n_sites must be >= 2, got {self.n_sites}")
         require_physical_memory(8 * self.n_sites**2, f"the eigenvectors of n_sites={self.n_sites}")
-        if not (math.isfinite(self.coupling) and self.coupling > 0):
-            raise ValueError(f"coupling must be finite and positive, got {self.coupling}")
         if not (math.isfinite(self.anisotropy) and math.isfinite(self.field)):
             raise ValueError(
                 f"anisotropy and field must be finite, got {self.anisotropy} and {self.field}"
@@ -111,16 +107,15 @@ class SpectralDecomposition:
 def build_sector_hamiltonian(spec: ChainSpec) -> SectorHamiltonian:
     """Single-excitation block of the shifted chain Hamiltonian.
 
-    For the isotropic chain (delta=1, B=0) the diagonal is 2J at the two ends
-    and 4J in the interior with off-diagonal -2J; the all-ones vector is then
+    For the isotropic chain (delta=1, B=0) the diagonal is 2 at the two ends
+    and 4 in the interior with off-diagonal -2; the all-ones vector is then
     a zero mode (the k=0 magnon costs no energy after the ground shift).
     """
     n = spec.n_sites
-    j = spec.coupling
     bonds = np.full(n, 2.0)
     bonds[0] = bonds[-1] = 1.0
-    diagonal = 2.0 * j * spec.anisotropy * bonds + 2.0 * spec.field
-    off_diagonal = np.full(n - 1, -2.0 * j)
+    diagonal = 2.0 * spec.anisotropy * bonds + 2.0 * spec.field
+    off_diagonal = np.full(n - 1, -2.0)
     return SectorHamiltonian(diagonal=diagonal, off_diagonal=off_diagonal)
 
 

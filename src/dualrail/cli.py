@@ -65,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--b-field", type=float, dest="b_field", help="uniform z-field")
         if j_kelvin:
             p.add_argument("--j-kelvin", type=float, dest="j_kelvin",
-                           help="coupling J/k_B in Kelvin (enables ns columns)")
+                           help="coupling J/k_B in Kelvin, for unit conversion only: "
+                                "ns columns and the --gamma-ns/--gamma1-ns/--gamma2-ns rates")
         return p
 
     p = command("amplitude", "end-to-end transfer probability over a time grid",

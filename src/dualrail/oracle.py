@@ -69,7 +69,7 @@ def excitation_counts(n_sites: int) -> np.ndarray:
 def full_hamiltonian(spec: ChainSpec, debug_flip_xy: bool = False) -> np.ndarray:
     """Dense 2^N chain Hamiltonian minus the ferromagnetic ground energy.
 
-    H = -J sum [sx sx + sy sy + delta sz sz] + B sum sz - E_g.  The all-ground
+    H = -sum [sx sx + sy sy + delta sz sz] + B sum sz - E_g.  The all-ground
     basis state gets exactly eigenvalue 0 and total-sz blocks are preserved.
     The matrix is real (sy sy is), so it is built in float64 by reading one
     4 x 4 bond term at each basis index's two-site pair (idx >> lo) & 3, then
@@ -82,9 +82,8 @@ def full_hamiltonian(spec: ChainSpec, debug_flip_xy: bool = False) -> np.ndarray
     if n > MAX_SINGLE_CHAIN_SITES:
         raise ValueError(f"full Hamiltonian capped at {MAX_SINGLE_CHAIN_SITES} sites, got {n}")
     dim = 1 << n
-    j = spec.coupling
     xy_sign = 1.0 if debug_flip_xy else -1.0
-    bond = xy_sign * j * _XX_PLUS_YY + -j * spec.anisotropy * _ZZ
+    bond = xy_sign * _XX_PLUS_YY + -spec.anisotropy * _ZZ
     idx = np.arange(dim)
     h = np.zeros((dim, dim))
     diagonal = np.zeros(dim)
@@ -97,7 +96,7 @@ def full_hamiltonian(spec: ChainSpec, debug_flip_xy: bool = False) -> np.ndarray
     for site in range(1, n + 1):
         bit = (idx >> (n - site)) & 1
         diagonal += spec.field * _SZ[bit, bit]
-    ground_energy = -j * spec.anisotropy * (n - 1) - spec.field * n
+    ground_energy = -spec.anisotropy * (n - 1) - spec.field * n
     h[idx, idx] = diagonal - ground_energy
     return h
 

@@ -4,8 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dualrail import analysis
+
+
+def assert_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestUnitConversions:
@@ -38,20 +46,46 @@ class TestUnitConversions:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError, match="coupling"):
-            analysis.natural_time_to_ns(1.0, bad)
-        with pytest.raises(ValueError, match="coupling"):
-            analysis.gamma_ns_to_natural(0.25, bad)
-        with pytest.raises(ValueError, match="rate"):
-            analysis.gamma_ns_to_natural(bad, 20.0)
+        assert_message(lambda: analysis.natural_time_to_ns(1.0, bad),
+                       f"coupling must be finite and positive, got {bad} K")
+        assert_message(lambda: analysis.natural_time_to_ns(bad, 20.0),
+                       f"time {bad} hbar/J in ns is not finite at J/k_B = 20.0 K")
+        assert_message(lambda: analysis.gamma_ns_to_natural(0.25, bad),
+                       f"coupling must be finite and positive, got {bad} K")
+        assert_message(lambda: analysis.gamma_ns_to_natural(bad, 20.0),
+                       f"rate must be finite and >= 0, got {bad}")
 
     def test_rejects_overflow_at_subnormal_coupling(self):
         # hbar/k_B / J overflows when J/k_B is subnormal
+        assert_message(lambda: analysis.natural_time_to_ns(0.5, 1e-320),
+                       "time 0.5 hbar/J in ns is not finite at J/k_B = 1e-320 K")
+        assert_message(lambda: analysis.gamma_ns_to_natural(0.25, 1e-320),
+                       "rate 0.25/ns in J/hbar units is not finite at J/k_B = 1e-320 K")
         with pytest.raises(ValueError, match="not finite"):
-            analysis.natural_time_to_ns(0.5, 1e-320)
-        with pytest.raises(ValueError, match="not finite"):
-            analysis.gamma_ns_to_natural(0.25, 1e-320)
+            analysis.gamma_to_natural(5e-324)
         assert analysis.natural_time_to_ns(0.0, 1e-320) == 0.0
+
+    @given(
+        x=st.floats(min_value=0.0, allow_infinity=False),
+        kelvin=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    @example(x=0.5, kelvin=1e-320)
+    @example(x=5e-324, kelvin=5e-324)
+    @example(x=1e308, kelvin=0.5)
+    def test_converters_are_one_product(self, x, kelvin):
+        # each converter is x * hbar/k_B / kelvin to the last bit, or rejects its overflow
+        product = x * analysis.HBAR_OVER_KB_NS_K / kelvin
+        cases = [
+            (lambda: analysis.natural_time_to_ns(x, kelvin), product),
+            (lambda: analysis.gamma_ns_to_natural(x, kelvin), product),
+            (lambda: analysis.gamma_to_natural(kelvin), analysis.HBAR_OVER_KB_NS_K / kelvin),
+        ]
+        for convert, literal in cases:
+            if math.isfinite(literal):
+                assert convert().hex() == literal.hex()
+            else:
+                with pytest.raises(ValueError, match="not finite"):
+                    convert()
 
 
 class TestPowerLawFit:

@@ -1,5 +1,6 @@
 """Unit tests of the single-excitation sector: structure, spectra, dynamics."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -26,9 +27,13 @@ from dualrail.scheduler import _EndpointObjective
 class TestChainSpec:
     def test_defaults(self):
         spec = ChainSpec(5)
-        assert spec.coupling == 1.0
         assert spec.anisotropy == 1.0
         assert spec.field == 0.0
+
+    def test_fields(self):
+        # J is the unit of energy, so the exchange coupling is not a field
+        names = {f.name for f in dataclasses.fields(ChainSpec)}
+        assert names == {"n_sites", "anisotropy", "field"}
 
     @pytest.mark.parametrize("n", [0, 1, -3])
     def test_rejects_short_chains(self, n):
@@ -40,14 +45,8 @@ class TestChainSpec:
         with pytest.raises(ValueError, match="physical memory"):
             ChainSpec(10**7)
 
-    def test_rejects_nonpositive_coupling(self):
-        with pytest.raises(ValueError, match="coupling"):
-            ChainSpec(4, coupling=0.0)
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_parameters(self, bad):
-        with pytest.raises(ValueError, match="coupling"):
-            ChainSpec(4, coupling=bad)
         with pytest.raises(ValueError, match="anisotropy"):
             ChainSpec(4, anisotropy=bad)
         with pytest.raises(ValueError, match="field"):
@@ -69,11 +68,6 @@ class TestSectorHamiltonian:
         h = build_sector_hamiltonian(ChainSpec(4, anisotropy=0.5, field=0.3))
         np.testing.assert_allclose(h.diagonal, [1.6, 2.6, 2.6, 1.6])
         np.testing.assert_allclose(h.off_diagonal, [-2.0, -2.0, -2.0])
-
-    def test_coupling_scales_everything_but_field(self):
-        h = build_sector_hamiltonian(ChainSpec(3, coupling=2.0, field=0.25))
-        np.testing.assert_allclose(h.diagonal, [4.5, 8.5, 4.5])
-        np.testing.assert_allclose(h.off_diagonal, [-4.0, -4.0])
 
     def test_to_dense_is_symmetric_tridiagonal(self):
         dense = build_sector_hamiltonian(ChainSpec(6)).to_dense()

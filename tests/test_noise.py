@@ -82,6 +82,11 @@ class TestPInfinity:
         with pytest.raises(ValueError, match="gamma"):
             p_infinity_estimate(20, gamma)
 
+    @pytest.mark.parametrize("n", [0, 1, -3, 2.5, 20.0, True, False, "20", None])
+    def test_estimate_rejects_bad_chain_length(self, n):
+        with pytest.raises(ValueError, match="n_sites"):
+            p_infinity_estimate(n, 0.01)
+
     def test_estimate_monotone_in_gamma(self):
         values = [p_infinity_estimate(20, g) for g in (0.001, 0.003, 0.01)]
         assert values[0] < values[1] < values[2]

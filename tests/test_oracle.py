@@ -38,18 +38,18 @@ def _op_at(op, site, n_sites):
 
 def reference_hamiltonian(spec, debug_flip_xy=False):
     """Full 2^N Hamiltonian built from one-site Pauli products, complex throughout."""
-    n, j = spec.n_sites, spec.coupling
+    n = spec.n_sites
     xy_sign = 1.0 if debug_flip_xy else -1.0
     h = np.zeros((1 << n, 1 << n), dtype=complex)
     for site in range(1, n):
-        h += xy_sign * j * (
+        h += xy_sign * (
             _op_at(_SX, site, n) @ _op_at(_SX, site + 1, n)
             + _op_at(_SY, site, n) @ _op_at(_SY, site + 1, n)
         )
-        h += -j * spec.anisotropy * (_op_at(_SZ, site, n) @ _op_at(_SZ, site + 1, n))
+        h += -spec.anisotropy * (_op_at(_SZ, site, n) @ _op_at(_SZ, site + 1, n))
     for site in range(1, n + 1):
         h += spec.field * _op_at(_SZ, site, n)
-    ground_energy = -j * spec.anisotropy * (n - 1) - spec.field * n
+    ground_energy = -spec.anisotropy * (n - 1) - spec.field * n
     h -= ground_energy * np.eye(1 << n)
     return h
 
@@ -61,7 +61,8 @@ class TestFullHamiltonian:
     )
     @pytest.mark.parametrize("flip", [False, True])
     def test_matches_pauli_product_reference(self, n, coupling, anisotropy, field, flip):
-        spec = ChainSpec(n, coupling=coupling, anisotropy=anisotropy, field=field)
+        # a chain stated in laboratory energies (J, delta, B) enters in units of J
+        spec = ChainSpec(n, anisotropy=anisotropy, field=field / coupling)
         h = oracle.full_hamiltonian(spec, debug_flip_xy=flip)
         ref = reference_hamiltonian(spec, debug_flip_xy=flip)
         assert h.dtype == np.float64
