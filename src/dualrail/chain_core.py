@@ -44,13 +44,20 @@ def require_physical_memory(n_bytes: float, what: str) -> None:
         )
 
 
+def require_chain_length(n_sites) -> int:
+    """``n_sites`` as a Python int; ValueError unless it is an integer >= 2 (bools are not)."""
+    if isinstance(n_sites, bool) or not isinstance(n_sites, (int, np.integer)) or n_sites < 2:
+        raise ValueError(f"n_sites must be an int >= 2, got {n_sites!r}")
+    return int(n_sites)
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Physical definition of one open XXZ chain.
 
     Parameters
     ----------
-    n_sites : number of spins, at least 2.
+    n_sites : number of spins, an int (or numpy integer, stored as int) >= 2.
     anisotropy : z-coupling multiplier delta (1 = isotropic Heisenberg).
     field : uniform z-field B.  Shifts all sector energies by the same
         amount, so it changes no transfer probability; kept as a parameter
@@ -65,8 +72,7 @@ class ChainSpec:
     field: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n_sites < 2:
-            raise ValueError(f"n_sites must be >= 2, got {self.n_sites}")
+        object.__setattr__(self, "n_sites", require_chain_length(self.n_sites))
         require_physical_memory(8 * self.n_sites**2, f"the eigenvectors of n_sites={self.n_sites}")
         if not (math.isfinite(self.anisotropy) and math.isfinite(self.field)):
             raise ValueError(
@@ -162,36 +168,136 @@ def transition_amplitude(dec: SpectralDecomposition, r: int, s: int, t: float) -
 
 def grid_points(t_lo: float, t_hi: float, step: float) -> int:
     """Number G of grid points t_lo + j*step that reach t_hi, allowing 1e-9 step of rounding."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"a grid step must be finite and > 0, got {step}")
     span = (t_hi - t_lo) / step
     if math.isinf(span):
         raise ValueError(f"a grid from {t_lo} to {t_hi} at step {step} has no finite size")
     return math.floor(span + 1e-9) + 1
 
 
+# PhaseGrid.sums runs as a non-uniform FFT from this many modes and grid points
+# on; below either, the factored matrix product is as fast or faster.  One
+# greedy scan (G = 29N) costs the same both ways near N = 300; at N = 1000 the
+# matrix product takes 4.2 ms and the FFT 1.6 ms (one BLAS thread).
+_NUFFT_MIN_MODES = 300
+_NUFFT_MIN_POINTS = 1024
+# Gaussian kernel half-width in fine-grid cells, and the fine grid's oversampling
+_NUFFT_HALF_WIDTH = 15
+_NUFFT_OVERSAMPLING = 2
+# 1/(2 pi) as the unevaluated sum hi + lo of two doubles
+_INV_TWO_PI = (0.15915494309189535, -9.839338337591243e-18)
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a*b) and p + e = a*b exactly (Dekker's product, Veltkamp's split)."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _split(a):
+    """a = hi + lo, hi holding the top 26 bits of a's significand; scaled so it cannot overflow."""
+    mantissa, exponent = np.frexp(a)
+    c = 134217729.0 * mantissa  # 2**27 + 1
+    hi = c - (c - mantissa)
+    return np.ldexp(hi, exponent), np.ldexp(mantissa - hi, exponent)
+
+
+def _fft_size(n: int, multiple: int) -> int:
+    """Smallest multiple * 2^a * 3^b * 5^c >= n, a length numpy's FFT factors quickly."""
+    best = multiple * n
+    f5 = multiple
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            size = f35
+            while size < n:
+                size *= 2
+            best = min(best, size)
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
 class PhaseGrid:
     """Phase sums S(t_j) = sum_k w_k exp(-i E_k t_j) on ``times`` t_j = t_lo + j*step, j < G.
 
     The one time grid of every scan: G = ``grid_points(t_lo, t_hi, step)``.
-    The (G x modes) table exp(-i E t_j) is never formed.  With B = ceil(sqrt(G)),
-    Q = ceil(G/B) and j = q*B + m it factors as base[q] * inner[m], where
-    base = exp(-i E (t_lo + step*B*q)) is (Q x modes) and inner = exp(-i E step*m)
-    is (B x modes).  The grid costs (B+Q)*modes exponentials and O(modes * sqrt(G))
-    memory, and each ``sums`` call is one cache-resident matrix product.
+    The (G x modes) table exp(-i E t_j) is never formed; ``sums`` takes one of
+    two routes, chosen here from the input size:
+
+    * Below ``_NUFFT_MIN_MODES`` modes or ``_NUFFT_MIN_POINTS`` points, a
+      factored table.  With B = ceil(sqrt(G)), Q = ceil(G/B) and j = q*B + m,
+      exp(-i E t_j) = base[q] * inner[m], where base = exp(-i E (t_lo + step*B*q))
+      is (Q x modes) and inner = exp(-i E step*m) is (B x modes).  The grid
+      holds (B+Q)*modes exponentials, O(modes * sqrt(G)), and each ``sums`` is
+      one cache-resident matrix product, O(G * modes).
+    * Otherwise a type-1 non-uniform FFT with Gaussian gridding (Greengard &
+      Lee, SIAM Rev. 46, 443 (2004)).  With the centre index j0,
+      S(t_{j0+m}) = sum_k c_k exp(-i omega_k m) for omega_k = E_k*step and
+      c_k = w_k exp(-i E_k (t_lo + step*j0)).  ``sums`` spreads each c_k onto
+      2*_NUFFT_HALF_WIDTH cells of a periodic fine grid of M >= 2G points,
+      takes one ``np.fft.fft`` and divides out the Gaussian's transform:
+      O(modes + G log G) time and O(modes + G) memory.  Each mode's position
+      on the fine grid and its centre phase are formed to double-double
+      precision, so the sums are within 1e-14 * sum|w| of exact arithmetic,
+      several times closer than the factored table (6e-14 at N = 1000-2000).
     """
 
     def __init__(self, energies: np.ndarray, t_lo: float, t_hi: float, step: float):
         n_points = grid_points(t_lo, t_hi, step)
         if n_points < 1:
             raise ValueError(f"grid needs at least one point, got {n_points}")
+        self.times = t_lo + step * np.arange(n_points)
+        self._fft_size = 0
+        if len(energies) >= _NUFFT_MIN_MODES and n_points >= _NUFFT_MIN_POINTS:
+            self._plan_nufft(energies, t_lo, step)
+            return
         b = math.isqrt(n_points - 1) + 1
         q = -(-n_points // b)
-        self.times = t_lo + step * np.arange(n_points)
         self._base = np.exp(-1j * np.outer(t_lo + step * b * np.arange(q), energies))
         self._inner = np.exp(-1j * np.outer(energies, step * np.arange(b)))
 
+    def _plan_nufft(self, energies: np.ndarray, t_lo: float, step: float) -> None:
+        sigma, half = _NUFFT_OVERSAMPLING, _NUFFT_HALF_WIDTH
+        m = _fft_size(sigma * len(self.times), 2 * sigma)
+        centre = m // (2 * sigma)  # outputs j - centre span [-M/(2 sigma), M/(2 sigma))
+        tau = math.pi * half / ((2 * centre) ** 2 * sigma * (sigma - 0.5))
+        # omega_k in fine-grid cells, u = E*step*M/(2 pi), as hi + lo: its whole
+        # cells and its fraction, the fraction exact to 1e-16 while u < 2**52
+        s, s_err = _two_product(step, float(m))
+        k, k_err = _two_product(s, _INV_TWO_PI[0])
+        k_err += s * _INV_TWO_PI[1] + s_err * _INV_TWO_PI[0]
+        u, u_err = _two_product(energies, k)
+        whole = np.floor(u)
+        frac = (u - whole) + (u_err + energies * k_err)
+        carry = np.floor(frac)  # -1 when u_err takes an integer u below it; large past 2**52 cells
+        frac -= carry
+        cell = np.mod(whole + carry, m)  # the grid is periodic in M cells
+        offsets = np.arange(1 - half, half + 1)
+        d = (frac[:, None] - offsets) * (2.0 * math.pi / m)
+        self._spread = np.exp(d * d / (-4.0 * tau))
+        cells = (cell.astype(np.int64)[:, None] + offsets) % m
+        self._slots = (2 * cells[:, :, None] + np.arange(2)).ravel()  # real, imag of each cell
+        # exp(-i E t_lo) from E*t_lo as hi + lo, and exp(-i omega centre) = exp(-i pi u / sigma)
+        theta, theta_err = _two_product(energies, t_lo)
+        self._phase = (np.exp(-1j * theta) * np.exp(-1j * theta_err)
+                       * np.exp(-1j * math.pi / sigma * (np.mod(cell, 2 * sigma) + frac)))
+        j = np.arange(len(self.times)) - centre
+        self._deconv = math.sqrt(math.pi / tau) / m * np.exp(tau * j * j)
+        self._fft_size, self._centre = m, centre
+
     def sums(self, weights: np.ndarray) -> np.ndarray:
         """S(t_j) for every grid point, shape (G,)."""
-        return ((self._base * weights) @ self._inner).ravel()[: len(self.times)]
+        n_points = len(self.times)
+        if not self._fft_size:
+            return ((self._base * weights) @ self._inner).ravel()[:n_points]
+        spread = (self._spread * (weights * self._phase)[:, None]).view(float).ravel()
+        fine = np.fft.fft(np.bincount(self._slots, spread, 2 * self._fft_size).view(complex))
+        m, centre = self._fft_size, self._centre
+        return np.concatenate((fine[m - centre:], fine[: n_points - centre])) * self._deconv
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from . import protocol
-from .chain_core import SpectralDecomposition, time_scale
+from .chain_core import SpectralDecomposition, require_chain_length, time_scale
 from .protocol import DualRailState, NoiseParams
 from .scheduler import greedy_run
 
@@ -45,8 +45,7 @@ def p_infinity_estimate(n_sites: int, gamma: float) -> float:
     that has already decayed.  At N = 40, J/Gamma = 50 it gives 6.31e-5
     against an exact greedy plateau of 6.40e-2, about 1000x lower.
     """
-    if isinstance(n_sites, bool) or not isinstance(n_sites, (int, np.integer)) or n_sites < 2:
-        raise ValueError(f"n_sites must be an int >= 2, got {n_sites!r}")
+    require_chain_length(n_sites)
     if not (math.isfinite(gamma) and gamma >= 0):
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     if gamma == 0.0:

@@ -58,10 +58,12 @@ class _EndpointObjective:
     The objective is exp(-2*gamma*tau) * |(F(tau) c)_N|^2; in the eigenbasis
     this is |w . exp(-i E tau)|^2 for w_k = v_k(N) * (V^T c)_k, up to a
     positive factor that moves no maximum, so the state's noiseless mode
-    coefficients a give the weights w = V[N-1, :] * a directly.  The tau grid's
-    phases are cached once per run as a factored PhaseGrid, O(N * sqrt(G))
-    memory for G grid points instead of a (G x modes) table, so every scan is
-    one small matrix product.
+    coefficients a give the weights w = V[N-1, :] * a directly.  The tau grid
+    (G = 29N points) is planned once per run as one PhaseGrid, which never
+    holds a (G x modes) table: each scan is one matrix product over
+    O(N * sqrt(G)) cached phases below its FFT crossover and one O(G log G)
+    FFT above it.  The scan only picks candidates; each is refined by exact
+    evaluation, so the grid's 1e-14-relative rounding moves no schedule.
     """
 
     def __init__(self, dec: SpectralDecomposition, gamma: float):

@@ -10,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+from dualrail import chain_core
 from dualrail.chain_core import (
+    _NUFFT_MIN_MODES,
+    _NUFFT_MIN_POINTS,
     ChainSpec,
     PhaseGrid,
     build_sector_hamiltonian,
@@ -39,6 +42,15 @@ class TestChainSpec:
     def test_rejects_short_chains(self, n):
         with pytest.raises(ValueError, match="n_sites"):
             ChainSpec(n)
+
+    @pytest.mark.parametrize("n", [2.5, 5.0, True])
+    def test_rejects_non_integer_lengths(self, n):
+        with pytest.raises(ValueError, match="n_sites must be an int"):
+            ChainSpec(n)
+
+    def test_accepts_numpy_integer_length(self):
+        spec = ChainSpec(np.int64(5))
+        assert spec.n_sites == 5 and type(spec.n_sites) is int
 
     def test_rejects_chain_too_large_for_memory(self):
         # 8 N^2 bytes of eigenvectors at N = 10^7 is 800 TB
@@ -156,18 +168,64 @@ class TestTransitionAmplitude:
 
 
 class TestPhaseGrid:
-    # 16/289 are perfect squares, 17/290 leave a ragged last block
-    @pytest.mark.parametrize("n", [2, 7, 50])
+    # 16/289 are perfect squares, 17/290/2000 leave a ragged last block; N = 400
+    # with 2000 points is past both FFT crossovers, every other case is below one
+    @pytest.mark.parametrize("n", [2, 7, 50, 400])
     @pytest.mark.parametrize("t0", [0.0, 0.37])
-    @pytest.mark.parametrize("n_points", [1, 2, 3, 16, 17, 289, 290])
+    @pytest.mark.parametrize("n_points", [1, 2, 3, 16, 17, 289, 290, 2000])
     def test_matches_transition_amplitudes(self, dec_cache, n, t0, n_points):
         dec = dec_cache(n)
         step = 0.05
         grid = PhaseGrid(dec.energies, t0, t0 + step * (n_points - 1), step)
+        assert bool(grid._fft_size) == (n >= _NUFFT_MIN_MODES and n_points >= _NUFFT_MIN_POINTS)
         got = grid.sums(dec.modes[-1, :] * dec.modes[0, :])
         expected = [transition_amplitude(dec, n, 1, t0 + step * j) for j in range(n_points)]
         assert got.shape == grid.times.shape == (n_points,)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [400, 1000, 2000])
+    def test_fft_sums_match_table(self, dec_cache, monkeypatch, rng, n):
+        # the greedy window's grid, both ways, on random complex weights
+        dec = dec_cache(n)
+        window = (0.05 * n, 1.5 * n, 0.05)
+        fft = PhaseGrid(dec.energies, *window)
+        monkeypatch.setattr(chain_core, "_NUFFT_MIN_MODES", n + 1)
+        table = PhaseGrid(dec.energies, *window)
+        assert fft._fft_size and not table._fft_size
+        w = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert np.max(np.abs(fft.sums(w) - table.sums(w))) <= 1e-13 * np.sum(np.abs(w))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
+    @pytest.mark.parametrize("n", [400, 2000])
+    def test_fft_sums_match_extended_precision(self, dec_cache, rng, n):
+        # the table's own phase rounding is most of the 1e-13 above; the FFT is
+        # within 1e-14 of the exact sum, checked at both edges and a random sample
+        dec = dec_cache(n)
+        t_lo, step = 0.05 * n, 0.05
+        grid = PhaseGrid(dec.energies, t_lo, 1.5 * n, step)
+        g = len(grid.times)
+        js = np.concatenate([np.arange(50), np.arange(g - 50, g), rng.integers(0, g, 100)])
+        w = rng.normal(size=n) + 1j * rng.normal(size=n)
+        t = np.longdouble(t_lo) + np.longdouble(step) * js.astype(np.longdouble)
+        phase = np.outer(t, dec.energies.astype(np.longdouble))
+        exact = (np.cos(phase) - 1j * np.sin(phase)) @ w.astype(np.clongdouble)
+        assert np.max(np.abs(grid.sums(w)[js] - exact)) <= 1e-14 * np.sum(np.abs(w))
+
+    @pytest.mark.parametrize("shift", [1e20, 1e300])
+    def test_fft_sums_stay_finite_for_huge_energies(self, dec_cache, shift):
+        # a huge uniform field shifts every energy; no step of the FFT plan may overflow
+        dec = dec_cache(400)
+        with np.errstate(over="raise", invalid="raise"):
+            grid = PhaseGrid(dec.energies + shift, 0.0, 100.0, 0.05)
+            sums = grid.sums(dec.modes[-1, :] * dec.modes[0, :])
+        assert grid._fft_size and np.all(np.isfinite(sums))
+
+    @pytest.mark.parametrize("step", [0.0, -0.05, math.nan, math.inf])
+    def test_rejects_bad_step(self, step):
+        with pytest.raises(ValueError, match="step"):
+            grid_points(0.0, 1.0, step)
+        with pytest.raises(ValueError, match="step"):
+            PhaseGrid(np.zeros(1), 0.0, 1.0, step)
 
     def test_rejects_empty_grid(self, dec_cache):
         with pytest.raises(ValueError, match="grid"):
@@ -189,7 +247,7 @@ class TestPhaseGrid:
 
     def test_greedy_objective_memory_is_sublinear_in_grid(self, dec_cache):
         # the default window at N = 1000 has G = 29001 grid points; a dense
-        # (G x N) complex table would hold 464 MB
+        # (G x N) complex table would hold 464 MB, the FFT plan holds about 1 MB
         dec = dec_cache(1000)
         tracemalloc.start()
         try:

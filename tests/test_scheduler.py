@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualrail import protocol
+from dualrail import chain_core, protocol
 from dualrail.protocol import NoiseParams
 from dualrail.scheduler import (
     Schedule,
@@ -135,6 +135,17 @@ class TestGreedy:
         np.testing.assert_allclose(
             run.p_trajectory, replay.p_trajectory, atol=1e-12
         )
+
+    @pytest.mark.parametrize("n, stop", [(450, {"l_max": 20}), (400, {"p_target": 1e-2, "l_max": 2000})])
+    def test_fft_scan_moves_no_schedule(self, dec_cache, monkeypatch, n, stop):
+        # the scan only picks candidates, so either grid route gives the same run
+        runs = []
+        for min_modes in (n + 1, n):  # the factored table, then the FFT
+            monkeypatch.setattr(chain_core, "_NUFFT_MIN_MODES", min_modes)
+            run = greedy_run(dec_cache(n), **stop)
+            runs.append([[float.hex(float(x)) for x in run.schedule.intervals],
+                         [float.hex(float(x)) for x in run.p_trajectory]])
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("n", [2, 7, 40])
     @pytest.mark.parametrize("gamma", [0.0, 0.03])
