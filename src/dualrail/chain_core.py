@@ -10,14 +10,15 @@ identical observables.
 
 The chain Hamiltonian (Pauli matrices, open boundary) is
 
-    H = -sum_n [sx_n sx_{n+1} + sy_n sy_{n+1} + delta * sz_n sz_{n+1}]
-        + B sum_n sz_n  -  E_g
+    H = -sum_n [sx_n sx_{n+1} + sy_n sy_{n+1} + delta * sz_n sz_{n+1}]  -  E_g
 
 with sz|excited> = +|excited> and E_g the fully-polarized ground energy, so
 the zero-excitation state sits exactly at energy zero and accrues no phase.
+There is no Zeeman term: a uniform B sum_n sz_n adds 2B per excitation, and
+every dual-rail state carries exactly one, so it is a global phase.
 Restricted to the single-excitation subspace span{|n>} this is a real
 symmetric tridiagonal matrix: off-diagonal -2, diagonal
-2*delta*(bonds touching site n) + 2B.
+2*delta*(bonds touching site n).
 """
 
 from __future__ import annotations
@@ -59,9 +60,6 @@ class ChainSpec:
     ----------
     n_sites : number of spins, an int (or numpy integer, stored as int) >= 2.
     anisotropy : z-coupling multiplier delta (1 = isotropic Heisenberg).
-    field : uniform z-field B.  Shifts all sector energies by the same
-        amount, so it changes no transfer probability; kept as a parameter
-        to document robustness, default 0.
 
     A chain whose N x N float64 eigenvector matrix (8 N^2 bytes) would not
     fit in physical memory is rejected here, before anything allocates it.
@@ -69,15 +67,12 @@ class ChainSpec:
 
     n_sites: int
     anisotropy: float = 1.0
-    field: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_sites", require_chain_length(self.n_sites))
         require_physical_memory(8 * self.n_sites**2, f"the eigenvectors of n_sites={self.n_sites}")
-        if not (math.isfinite(self.anisotropy) and math.isfinite(self.field)):
-            raise ValueError(
-                f"anisotropy and field must be finite, got {self.anisotropy} and {self.field}"
-            )
+        if not math.isfinite(self.anisotropy):
+            raise ValueError(f"anisotropy must be finite, got {self.anisotropy}")
 
 
 @dataclass(frozen=True)
@@ -113,14 +108,14 @@ class SpectralDecomposition:
 def build_sector_hamiltonian(spec: ChainSpec) -> SectorHamiltonian:
     """Single-excitation block of the shifted chain Hamiltonian.
 
-    For the isotropic chain (delta=1, B=0) the diagonal is 2 at the two ends
+    For the isotropic chain (delta=1) the diagonal is 2 at the two ends
     and 4 in the interior with off-diagonal -2; the all-ones vector is then
     a zero mode (the k=0 magnon costs no energy after the ground shift).
     """
     n = spec.n_sites
     bonds = np.full(n, 2.0)
     bonds[0] = bonds[-1] = 1.0
-    diagonal = 2.0 * spec.anisotropy * bonds + 2.0 * spec.field
+    diagonal = 2.0 * spec.anisotropy * bonds
     off_diagonal = np.full(n - 1, -2.0)
     return SectorHamiltonian(diagonal=diagonal, off_diagonal=off_diagonal)
 
@@ -341,8 +336,9 @@ def first_peak(dec: SpectralDecomposition) -> tuple[float, float]:
     Scans t in (0, 0.75 T], T = ``time_scale(N)``, at step 0.01 hbar/J, far
     below the O(1) width of magnon-bandwidth features, and refines the largest
     interior local maximum by golden section within one step either side.
-    The scan's G = 75N points are evaluated through a factored PhaseGrid, so
-    it holds O(N * sqrt(G)) = O(N^1.5) memory, not a (G x N) table.
+    The scan's G = 75N points go through PhaseGrid, never a (G x N) table:
+    below 300 sites its factored table, O(N * sqrt(G)) = O(N^1.5) memory, and
+    from 300 sites on (G >= 1024) its FFT route, O(N + G) = O(N) memory.
     """
     step = 0.01
     grid = PhaseGrid(dec.energies, step, 0.75 * time_scale(dec.n_sites), step)

@@ -62,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         if chain:
             p.add_argument("--n", type=int, help="chain length")
             p.add_argument("--delta", type=float, help="XXZ anisotropy (default 1)")
-            p.add_argument("--b-field", type=float, dest="b_field", help="uniform z-field")
         if j_kelvin:
             p.add_argument("--j-kelvin", type=float, dest="j_kelvin",
                            help="coupling J/k_B in Kelvin, for unit conversion only: "
@@ -143,11 +142,7 @@ def _read_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> d
 def _chain_spec(cfg: dict) -> ChainSpec:
     if "n" not in cfg:
         raise ValueError("chain length required (--n)")
-    return ChainSpec(
-        n_sites=cfg["n"],
-        anisotropy=cfg.get("delta", 1.0),
-        field=cfg.get("b_field", 0.0),
-    )
+    return ChainSpec(n_sites=cfg["n"], anisotropy=cfg.get("delta", 1.0))
 
 
 def _emit(text: str, out) -> None:
@@ -181,8 +176,7 @@ def _cmd_amplitude(cfg: dict) -> int:
     columns = ("t_natural", *(f"t{s}" for s in ns_suffix), "p_transfer")
     times = grid.times.tolist()
     ns_cells = [[to_ns(t)[0] for t in times] for _ in ns_suffix]
-    meta = {"command": "amplitude", "n": spec.n_sites, "delta": spec.anisotropy,
-            "b_field": spec.field}
+    meta = {"command": "amplitude", "n": spec.n_sites, "delta": spec.anisotropy}
     _emit(render_csv(columns, zip(times, *ns_cells, probs.tolist()), meta), cfg.get("out"))
     return EXIT_OK
 

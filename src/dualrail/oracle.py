@@ -4,9 +4,9 @@ Everything the reduced modules claim is re-derived here from first principles:
 the full 2^N chain Hamiltonian (all excitation sectors), the 4^N two-chain
 dual-rail protocol with explicit encode/decode gates, and structural
 decoherence-free-subspace checks.  Sizes are capped (N <= 8 for one chain,
-N <= 6 for two) so the full conformance report runs in about 0.06 s (2-vCPU
-x86-64 VM, one BLAS thread); this module is ground truth, not a performance
-path.
+N <= 6 for two) so the full conformance report runs in about 0.05 s (median
+of 15 in-process runs, 2-vCPU x86-64 VM, one BLAS thread); this module is
+ground truth, not a performance path.
 
 Conventions (used everywhere in this module):
   * sz|excited> = +|excited>, sz|ground> = -|ground>.
@@ -69,12 +69,11 @@ def excitation_counts(n_sites: int) -> np.ndarray:
 def full_hamiltonian(spec: ChainSpec, debug_flip_xy: bool = False) -> np.ndarray:
     """Dense 2^N chain Hamiltonian minus the ferromagnetic ground energy.
 
-    H = -sum [sx sx + sy sy + delta sz sz] + B sum sz - E_g.  The all-ground
-    basis state gets exactly eigenvalue 0 and total-sz blocks are preserved.
-    The matrix is real (sy sy is), so it is built in float64 by reading one
-    4 x 4 bond term at each basis index's two-site pair (idx >> lo) & 3, then
-    adding the one-site fields: the same floats, summed in the same order, as
-    the embeddings I (x) bond (x) I and I (x) sz (x) I.
+    H = -sum [sx sx + sy sy + delta sz sz] - E_g.  The all-ground basis state
+    gets exactly eigenvalue 0 and total-sz blocks are preserved.  The matrix
+    is real (sy sy is), so it is built in float64 by reading one 4 x 4 bond
+    term at each basis index's two-site pair (idx >> lo) & 3: the same
+    floats, summed in the same order, as the embeddings I (x) bond (x) I.
     ``debug_flip_xy`` negates the hopping term; it exists so the conformance
     suite can demonstrate that the sector-equivalence check has power.
     """
@@ -93,10 +92,7 @@ def full_hamiltonian(spec: ChainSpec, debug_flip_xy: bool = False) -> np.ndarray
         diagonal += bond[pair, pair]
         hop = (pair == 1) | (pair == 2)
         h[idx[hop], idx[hop] ^ (3 << lo)] = bond[pair[hop], pair[hop] ^ 3]
-    for site in range(1, n + 1):
-        bit = (idx >> (n - site)) & 1
-        diagonal += spec.field * _SZ[bit, bit]
-    ground_energy = -spec.anisotropy * (n - 1) - spec.field * n
+    ground_energy = -spec.anisotropy * (n - 1)
     h[idx, idx] = diagonal - ground_energy
     return h
 
@@ -325,13 +321,12 @@ def conformance_report(inject_sign_error: bool = False) -> dict:
     dev = 0.0
     for n in range(2, MAX_SINGLE_CHAIN_SITES + 1):
         for delta in (0.5, 1.0, 1.5):
-            for field in (-0.3, 0.0, 0.4):
-                spec = ChainSpec(n, anisotropy=delta, field=field)
-                block = single_excitation_block(
-                    full_hamiltonian(spec, debug_flip_xy=inject_sign_error), n
-                )
-                dense = build_sector_hamiltonian(spec).to_dense()
-                dev = max(dev, float(np.max(np.abs(block - dense))))
+            spec = ChainSpec(n, anisotropy=delta)
+            block = single_excitation_block(
+                full_hamiltonian(spec, debug_flip_xy=inject_sign_error), n
+            )
+            dense = build_sector_hamiltonian(spec).to_dense()
+            dev = max(dev, float(np.max(np.abs(block - dense))))
     checks.append(_check("sector_block_equivalence", dev, 1e-12, dev < 1e-12))
 
     # 2. transition amplitudes vs full 2^N evolution

@@ -16,6 +16,7 @@ from dualrail.chain_core import (
     _NUFFT_MIN_POINTS,
     ChainSpec,
     PhaseGrid,
+    SectorHamiltonian,
     build_sector_hamiltonian,
     diagonalize,
     first_peak,
@@ -31,12 +32,12 @@ class TestChainSpec:
     def test_defaults(self):
         spec = ChainSpec(5)
         assert spec.anisotropy == 1.0
-        assert spec.field == 0.0
 
     def test_fields(self):
-        # J is the unit of energy, so the exchange coupling is not a field
+        # J is the unit of energy, and a uniform z-field is a global phase on
+        # the dual rail's one excitation, so neither is a parameter
         names = {f.name for f in dataclasses.fields(ChainSpec)}
-        assert names == {"n_sites", "anisotropy", "field"}
+        assert names == {"n_sites", "anisotropy"}
 
     @pytest.mark.parametrize("n", [0, 1, -3])
     def test_rejects_short_chains(self, n):
@@ -61,8 +62,6 @@ class TestChainSpec:
     def test_rejects_non_finite_parameters(self, bad):
         with pytest.raises(ValueError, match="anisotropy"):
             ChainSpec(4, anisotropy=bad)
-        with pytest.raises(ValueError, match="field"):
-            ChainSpec(4, field=bad)
 
 
 class TestSectorHamiltonian:
@@ -76,9 +75,9 @@ class TestSectorHamiltonian:
         np.testing.assert_allclose(h.diagonal, [2.0, 4.0, 2.0])
         np.testing.assert_allclose(h.off_diagonal, [-2.0, -2.0])
 
-    def test_anisotropy_and_field_enter_diagonal_only(self):
-        h = build_sector_hamiltonian(ChainSpec(4, anisotropy=0.5, field=0.3))
-        np.testing.assert_allclose(h.diagonal, [1.6, 2.6, 2.6, 1.6])
+    def test_anisotropy_enters_diagonal_only(self):
+        h = build_sector_hamiltonian(ChainSpec(4, anisotropy=0.5))
+        np.testing.assert_allclose(h.diagonal, [1.0, 2.0, 2.0, 1.0])
         np.testing.assert_allclose(h.off_diagonal, [-2.0, -2.0, -2.0])
 
     def test_to_dense_is_symmetric_tridiagonal(self):
@@ -114,20 +113,17 @@ class TestDiagonalize:
             assert lead > 0
 
     @pytest.mark.parametrize("n", [2, 8, 57, 300])
-    @pytest.mark.parametrize("delta, field", [(1.0, 0.0), (0.5, 0.3), (1.7, -0.2)])
-    def test_sign_flip_matches_column_loop(self, n, delta, field):
-        h = build_sector_hamiltonian(ChainSpec(n, anisotropy=delta, field=field))
+    @pytest.mark.parametrize("delta, offset", [(1.0, 0.0), (0.5, 0.3), (1.7, -0.2)])
+    def test_sign_flip_matches_column_loop(self, n, delta, offset):
+        # diagonalize takes any real tridiagonal block, a uniformly offset diagonal too
+        h = build_sector_hamiltonian(ChainSpec(n, anisotropy=delta))
+        h = SectorHamiltonian(h.diagonal + offset, h.off_diagonal)
         _, expected = eigh_tridiagonal(h.diagonal, h.off_diagonal)
         for k in range(n):
             col = expected[:, k]
             if col[np.argmax(np.abs(col) > 1e-8)] < 0:
                 expected[:, k] = -col
         assert diagonalize(h).modes.tobytes() == expected.tobytes()
-
-    def test_field_shifts_all_energies_equally(self):
-        base = diagonalize(build_sector_hamiltonian(ChainSpec(5)))
-        shifted = diagonalize(build_sector_hamiltonian(ChainSpec(5, field=0.7)))
-        np.testing.assert_allclose(shifted.energies, base.energies + 1.4, atol=1e-12)
 
     def test_results_immutable(self, dec_cache):
         dec = dec_cache(4)
@@ -213,7 +209,7 @@ class TestPhaseGrid:
 
     @pytest.mark.parametrize("shift", [1e20, 1e300])
     def test_fft_sums_stay_finite_for_huge_energies(self, dec_cache, shift):
-        # a huge uniform field shifts every energy; no step of the FFT plan may overflow
+        # huge energies, all shifted alike: no step of the FFT plan may overflow
         dec = dec_cache(400)
         with np.errstate(over="raise", invalid="raise"):
             grid = PhaseGrid(dec.energies + shift, 0.0, 100.0, 0.05)

@@ -42,10 +42,10 @@ README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(e
 
 # Every option destination of every command: a new option shows up here as a diff.
 OPTIONS = {
-    "amplitude": {"config", "out", "n", "delta", "b_field", "j_kelvin", "t_max", "dt"},
-    "protocol": {"config", "out", "n", "delta", "b_field", "j_kelvin", "schedule", "l_max",
+    "amplitude": {"config", "out", "n", "delta", "j_kelvin", "t_max", "dt"},
+    "protocol": {"config", "out", "n", "delta", "j_kelvin", "schedule", "l_max",
                  "p_target", "gamma", "gamma_ns", "gamma1_ns", "gamma2_ns"},
-    "optimize": {"config", "out", "n", "delta", "b_field", "l_max"},
+    "optimize": {"config", "out", "n", "delta", "l_max"},
     "fit": {"config", "out", "fit"},
     "figure": {"config", "out", "fig"},
     "oracle-check": {"config", "out", "inject_sign_error"},
@@ -94,7 +94,7 @@ class TestAmplitude:
             ("--t-max", "nan"),
             ("--t-max", "inf"),
             ("--delta", "nan"),
-            ("--b-field", "inf"),
+            ("--delta", "inf"),
         ],
     )
     def test_non_finite_input_is_validation_error(self, capsys, flags):
@@ -244,7 +244,7 @@ class TestProtocol:
         assert out == ""
         assert "symmetric" in err
 
-    @pytest.mark.parametrize("flags", [("--delta", "nan"), ("--b-field=-inf",)])
+    @pytest.mark.parametrize("flags", [("--delta", "nan"), ("--delta=-inf",)])
     def test_non_finite_chain_is_validation_error(self, capsys, flags):
         code, out, err = run_cli(capsys, "protocol", "--n", "10", "--l-max", "2", *flags)
         assert code == 2
@@ -602,8 +602,11 @@ class TestCsvOutput:
 REMOVED_FLAGS = [
     (command, flag)
     for command in ("fit", "figure", "oracle-check")
-    for flag in (("--n", "20"), ("--delta", "0.3"), ("--b-field", "1"), ("--j-kelvin", "20"))
-] + [("optimize", ("--j-kelvin", "20"))]
+    for flag in (("--n", "20"), ("--delta", "0.3"), ("--j-kelvin", "20"))
+] + [("optimize", ("--j-kelvin", "20"))] + [
+    # a uniform field is a global phase, so no command takes one
+    (command, ("--b-field", "1e20")) for command in sorted(OPTIONS)
+]
 
 # One well-typed config value for every key some command reads.
 CONFIG_SAMPLE = {
@@ -613,7 +616,8 @@ CONFIG_SAMPLE = {
     "inject_sign_error": True, "n_values": [20], "p_values": [0.1],
 }
 VALID_ARGV = {"fit": ("--fit", "peak"), "figure": ("--fig", "2"), "oracle-check": (),
-              "optimize": ("--n", "4", "--l-max", "2")}
+              "optimize": ("--n", "4", "--l-max", "2"), "amplitude": ("--n", "20"),
+              "protocol": ("--n", "20", "--l-max", "3")}
 
 
 class TestOptionSurface:
@@ -621,7 +625,7 @@ class TestOptionSurface:
         parser = cli.build_parser()
         assert set(cli._COMMANDS) == set(OPTIONS)
         assert {command: set(cli._options(parser, command)) for command in OPTIONS} == OPTIONS
-        assert sum(map(len, OPTIONS.values())) == 36
+        assert sum(map(len, OPTIONS.values())) == 33
 
     @pytest.mark.parametrize("command,flag", REMOVED_FLAGS,
                              ids=[f"{c} {f[0]}" for c, f in REMOVED_FLAGS])

@@ -47,9 +47,7 @@ def reference_hamiltonian(spec, debug_flip_xy=False):
             + _op_at(_SY, site, n) @ _op_at(_SY, site + 1, n)
         )
         h += -spec.anisotropy * (_op_at(_SZ, site, n) @ _op_at(_SZ, site + 1, n))
-    for site in range(1, n + 1):
-        h += spec.field * _op_at(_SZ, site, n)
-    ground_energy = -spec.anisotropy * (n - 1) - spec.field * n
+    ground_energy = -spec.anisotropy * (n - 1)
     h -= ground_energy * np.eye(1 << n)
     return h
 
@@ -61,22 +59,28 @@ class TestFullHamiltonian:
     )
     @pytest.mark.parametrize("flip", [False, True])
     def test_matches_pauli_product_reference(self, n, coupling, anisotropy, field, flip):
-        # a chain stated in laboratory energies (J, delta, B) enters in units of J
-        spec = ChainSpec(n, anisotropy=anisotropy, field=field / coupling)
+        spec = ChainSpec(n, anisotropy=anisotropy)
         h = oracle.full_hamiltonian(spec, debug_flip_xy=flip)
         ref = reference_hamiltonian(spec, debug_flip_xy=flip)
         assert h.dtype == np.float64
         assert not np.any(ref.imag)
         # bytes, not values: signed zeros must match too
         assert h.tobytes() == ref.real.tobytes()
+        # a laboratory chain (exchange J, anisotropy delta, uniform field B) is J
+        # times this one plus B (sum_n sz_n + N) = 2B per excitation: a global
+        # phase on the dual rail's one excitation, so the model has no field
+        field_term = sum(_op_at(_SZ, site, n) for site in range(1, n + 1)) + n * np.eye(1 << n)
+        per_excitation = 2.0 * np.diag(oracle.excitation_counts(n))
+        np.testing.assert_allclose(coupling * ref + field * field_term,
+                                   coupling * h + field * per_excitation, rtol=0, atol=1e-12)
 
     def test_vacuum_at_zero_energy(self):
-        h = oracle.full_hamiltonian(ChainSpec(4, anisotropy=0.8, field=0.3))
+        h = oracle.full_hamiltonian(ChainSpec(4, anisotropy=0.8))
         assert abs(h[0, 0]) < 1e-12
         assert np.max(np.abs(h[0, 1:])) < 1e-12
 
     def test_single_excitation_block_matches_reduced(self):
-        spec = ChainSpec(5, anisotropy=1.3, field=-0.2)
+        spec = ChainSpec(5, anisotropy=1.3)
         block = oracle.single_excitation_block(oracle.full_hamiltonian(spec), 5)
         dense = build_sector_hamiltonian(spec).to_dense()
         np.testing.assert_allclose(block, dense, atol=1e-12)
@@ -211,9 +215,9 @@ class TestConformanceReport:
         monkeypatch.setattr(oracle, "full_hamiltonian", counted("full_hamiltonian", oracle.full_hamiltonian))
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         oracle.conformance_report()
-        # 63 block checks + 7 amplitude chains + 22 dual-rail runs; the
-        # amplitude check used to rebuild and re-solve per draw (225, 162)
-        assert calls == {"full_hamiltonian": 92, "eigh": 29}
+        # 21 block checks (7 lengths x 3 anisotropies) + 7 amplitude chains +
+        # 22 dual-rail runs
+        assert calls == {"full_hamiltonian": 50, "eigh": 29}
 
     def test_amplitude_check_matches_public_amplitude(self):
         report = oracle.conformance_report()
