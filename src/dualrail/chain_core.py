@@ -93,8 +93,9 @@ class SpectralDecomposition:
     """Eigensystem of a SectorHamiltonian.
 
     ``energies`` ascending; ``modes[:, k]`` is the orthonormal eigenvector of
-    ``energies[k]`` with a deterministic sign (first non-negligible component
-    positive).  Immutable; safe to share across threads.
+    ``energies[k]``, its sign the eigensolver's: every output multiplies two
+    entries of one column (v_k(N) v_k(1), or u_k a_k with a = V^T c), so no
+    output sees it.  Immutable; safe to share across threads.
     """
 
     energies: np.ndarray
@@ -123,10 +124,6 @@ def build_sector_hamiltonian(spec: ChainSpec) -> SectorHamiltonian:
 def diagonalize(h: SectorHamiltonian) -> SpectralDecomposition:
     """Full eigensystem of the tridiagonal sector matrix."""
     energies, modes = eigh_tridiagonal(h.diagonal, h.off_diagonal)
-    # deterministic sign convention: first component with non-negligible
-    # magnitude made positive
-    lead = modes[np.argmax(np.abs(modes) > 1e-8, axis=0), np.arange(modes.shape[1])]
-    modes *= np.where(lead < 0, -1.0, 1.0)
     modes.setflags(write=False)
     energies.setflags(write=False)
     return SpectralDecomposition(energies=energies, modes=modes)
@@ -146,6 +143,12 @@ def time_scale(n_sites: int) -> float:
     * the ``amplitude`` command's default ``--t-max``: 1.5 T.
     """
     return float(n_sites)
+
+
+def require_finite_phases(energies: np.ndarray, t: float) -> None:
+    """ValueError unless every phase E_k t of the ascending ``energies`` is finite; O(1)."""
+    if not math.isfinite(max(abs(energies.item(0)), abs(energies.item(-1))) * float(t)):
+        raise ValueError(f"the phases E*t overflow at t = {t:g}")
 
 
 def _check_site(dec: SpectralDecomposition, site: int) -> None:
@@ -245,6 +248,7 @@ class PhaseGrid:
         n_points = grid_points(t_lo, t_hi, step)
         if n_points < 1:
             raise ValueError(f"grid needs at least one point, got {n_points}")
+        require_finite_phases(energies, max(abs(t_lo), abs(t_hi)))
         self.times = t_lo + step * np.arange(n_points)
         self._fft_size = 0
         if len(energies) >= _NUFFT_MIN_MODES and n_points >= _NUFFT_MIN_POINTS:
@@ -304,7 +308,7 @@ def _golden_max(f, a: float, b: float) -> tuple[float, float]:
 
     The one refine step of every grid scan here: ``first_peak`` and the greedy
     scheduler's objective each pick their own grid candidates, then refine them
-    with this routine to the same precision.
+    with this routine, on ``_phase_sum_objective``, to the same precision.
     """
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
@@ -320,6 +324,19 @@ def _golden_max(f, a: float, b: float) -> tuple[float, float]:
             fd = f(d)
     x = 0.5 * (a + b)
     return x, f(x)
+
+
+def _phase_sum_objective(energies: np.ndarray, w: np.ndarray, decay: float = 0.0):
+    """t -> exp(decay*t) * |sum_k w_k exp(-i E_k t)|^2, the exact objective of every golden refine.
+
+    Bit-identical to that literal expression: only -i E is hoisted out of the closure.
+    """
+    rates = -1j * energies
+
+    def f(t: float) -> float:
+        return math.exp(decay * t) * abs((w * np.exp(rates * t)).sum()) ** 2
+
+    return f
 
 
 def propagator_matrix(dec: SpectralDecomposition, tau: float) -> np.ndarray:
@@ -354,8 +371,7 @@ def first_peak(dec: SpectralDecomposition) -> tuple[float, float]:
         return float(ts[i]), float(p[i])
     i = int(candidates[np.argmax(p[candidates])])
 
-    phases = -1j * dec.energies
-    t_ref, p_ref = _golden_max(lambda t: abs(w @ np.exp(phases * t)) ** 2, ts[i] - step, ts[i] + step)
+    t_ref, p_ref = _golden_max(_phase_sum_objective(dec.energies, w), ts[i] - step, ts[i] + step)
     if p_ref >= p[i]:
         return float(t_ref), float(p_ref)
     return float(ts[i]), float(p[i])

@@ -218,18 +218,14 @@ def _cmd_protocol(cfg: dict) -> int:
     elif "l_max" in cfg:
         raise ValueError("a schedule file sets the measurement count; drop --l-max")
     p_target = cfg.get("p_target")
-    if p_target is not None and (source != "greedy" or not noise.symmetric):
-        raise ValueError("--p-target requires --schedule greedy and symmetric damping")
+    if p_target is not None and source != "greedy":
+        raise ValueError("--p-target requires --schedule greedy")
 
-    if source == "greedy" and noise.symmetric:
+    if source == "greedy":
         run = greedy_run(dec, l_max=l_max, p_target=p_target, noise=noise)
     else:
-        if source == "greedy":  # unequal rail rates replay the noiseless greedy intervals
-            schedule = greedy_optimize(dec, l_max=l_max)
-        elif source == "uniform":
-            schedule = uniform_schedule(spec.n_sites, l_max)
-        else:
-            schedule = Schedule.from_json(source)
+        schedule = (uniform_schedule(spec.n_sites, l_max) if source == "uniform"
+                    else Schedule.from_json(source))
         run = protocol.run_schedule(dec, schedule, noise)
 
     ns_suffix, to_ns = _time_columns(cfg)

@@ -14,8 +14,8 @@ Unequal rates keep one shared spatial vector (the rails are identical and
 the failure projection treats them symmetrically), so the same loop runs
 them: its records carry the balanced input qubit's joint success, and
 ``NoiseParams.worst_case_fidelity`` gives its decoded fidelity, the worst
-case over the Bloch sphere.  This module adds the limiting failure
-probability P_inf.
+case over the Bloch sphere.  ``greedy_run`` alone decides how damping weights
+its objective (not at all for unequal rates).  This module adds P_inf.
 """
 
 from __future__ import annotations
@@ -64,12 +64,13 @@ def p_infinity_exact(
     noise: NoiseParams,
     stop_tol: float = 1e-12,
 ) -> float:
-    """Plateau of P(l) under symmetric damping with greedy scheduling.
+    """Plateau of P(l) under damping with greedy scheduling.
 
     Runs the exact damped protocol until the joint per-step success falls
     below ``stop_tol``, at most 100,000 steps; the missed tail of successes is
-    O(stop_tol / (2 Gamma T)), T = ``time_scale(N)``.  Unequal rates raise,
-    as in ``greedy_run``.
+    O(stop_tol / (2 Gamma T)), T = ``time_scale(N)``, for the smaller rate
+    Gamma.  With unequal rates it is the balanced qubit's plateau under the
+    noiseless greedy intervals, as in ``greedy_run``.
     """
     run = greedy_run(dec, noise=noise, step_success_tol=stop_tol, l_max=100_000)
     return float(run.records[-1].joint_failure)

@@ -42,7 +42,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ._csvio import typed
-from .chain_core import SpectralDecomposition
+from .chain_core import SpectralDecomposition, require_finite_phases
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,6 @@ class NoiseParams:
     @property
     def symmetric(self) -> bool:
         return self.gamma_1 == self.gamma_2
-
-    @property
-    def gamma(self) -> float:
-        if not self.symmetric:
-            raise ValueError("gamma is only defined for symmetric damping")
-        return self.gamma_1
 
     def success_weight(self, t: float) -> float:
         """No-jump weight of the balanced qubit at time t, exactly exp(-2 gamma t) for equal rates.
@@ -222,6 +216,9 @@ def evolve(state: DualRailState, tau: float) -> DualRailState:
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"evolution interval must be finite and positive, got {tau}")
+    if not math.isfinite(state.time + tau):
+        raise ValueError(f"the run's clock overflows at t = {state.time:g} + {tau:g}")
+    require_finite_phases(state.dec.energies, tau)
     a = state.coefficients
     weight = state.noise.success_weight
     state.loss += float(np.vdot(a, a).real) * (weight(state.time) - weight(state.time + tau))

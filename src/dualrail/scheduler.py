@@ -14,13 +14,12 @@ at chain_core._REFINE_TOL.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
 from . import protocol
-from .chain_core import PhaseGrid, SpectralDecomposition, _golden_max, time_scale
+from .chain_core import PhaseGrid, SpectralDecomposition, _golden_max, _phase_sum_objective, time_scale
 from .protocol import DualRailState, NoiseParams, Schedule
 
 _GRID_STEP = 0.05
@@ -62,8 +61,9 @@ class _EndpointObjective:
     (G = 29N points) is planned once per run as one PhaseGrid, which never
     holds a (G x modes) table: each scan is one matrix product over
     O(N * sqrt(G)) cached phases below its FFT crossover and one O(G log G)
-    FFT above it.  The scan only picks candidates; each is refined by exact
-    evaluation, so the grid's 1e-14-relative rounding moves no schedule.
+    FFT above it.  The scan only picks candidates; each is refined on the exact
+    ``chain_core._phase_sum_objective``, so the grid's 1e-14-relative rounding
+    moves no schedule.
     """
 
     def __init__(self, dec: SpectralDecomposition, gamma: float):
@@ -72,20 +72,6 @@ class _EndpointObjective:
         self.dec = dec
         self.grid = PhaseGrid(dec.energies, *self.window, _GRID_STEP)
         self._damp = np.exp(-2.0 * gamma * self.grid.times)
-
-    def refine_objective(self, w: np.ndarray):
-        """tau -> exp(-2*gamma*tau) * |sum(w * exp(-i E tau))|^2 for the golden refine.
-
-        The rates are hoisted out of the closure; each call does the same float
-        operations, in the same order, as the literal expression.
-        """
-        rates = -1j * self.dec.energies
-        decay = -2.0 * self.gamma
-
-        def f(tau: float) -> float:
-            return math.exp(decay * tau) * abs((w * np.exp(rates * tau)).sum()) ** 2
-
-        return f
 
     def best_tau(self, w: np.ndarray) -> float:
         obj = self._damp * np.abs(self.grid.sums(w)) ** 2
@@ -101,7 +87,7 @@ class _EndpointObjective:
         is_peak = (obj > left) & (obj >= right)
         candidates = np.nonzero(is_peak & (obj >= 0.95 * best_grid))[0]
 
-        f = self.refine_objective(w)
+        f = _phase_sum_objective(self.dec.energies, w, -2.0 * self.gamma)
         refined = []
         for j in candidates:
             tau_grid, val_grid = float(self.grid.times[j]), float(obj[j])
@@ -133,8 +119,10 @@ def greedy_run(
     Stop conditions (at least one required): ``l_max`` measurements done,
     joint failure below ``p_target``, or last joint step success below
     ``step_success_tol`` (plateau detection for damped runs).  ``noise``
-    damps the run at its symmetric rate gamma (unequal rates raise); the
-    objective then includes the exp(-2*gamma*tau) penalty for waiting.
+    damps the run at any rates.  Equal rates gamma weight the objective by
+    exp(-2*gamma*tau), the cost of waiting for every input qubit; unequal
+    rates have no qubit-independent weight, so their intervals are the
+    noiseless ``greedy_optimize`` ones.
 
     Raises ThresholdNotReached when ``p_target`` is given and the run stops
     above it.
@@ -146,7 +134,7 @@ def greedy_run(
     if p_target is not None and not 0.0 < p_target < 1.0:
         raise ValueError(f"p_target must be in (0, 1), got {p_target}")
 
-    objective = _EndpointObjective(dec, noise.gamma)
+    objective = _EndpointObjective(dec, noise.gamma_1 if noise.symmetric else 0.0)
     state = protocol.init_state(dec, noise)
     end_row = dec.modes[-1, :]
     while l_max is None or len(state.records) < l_max:

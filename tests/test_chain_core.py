@@ -17,6 +17,7 @@ from dualrail.chain_core import (
     ChainSpec,
     PhaseGrid,
     SectorHamiltonian,
+    SpectralDecomposition,
     build_sector_hamiltonian,
     diagonalize,
     first_peak,
@@ -25,7 +26,8 @@ from dualrail.chain_core import (
     time_scale,
     transition_amplitude,
 )
-from dualrail.scheduler import _EndpointObjective
+from dualrail.protocol import NoiseParams, run_schedule
+from dualrail.scheduler import _EndpointObjective, greedy_run
 
 
 class TestChainSpec:
@@ -105,25 +107,43 @@ class TestDiagonalize:
         dec = dec_cache(9)
         np.testing.assert_allclose(dec.modes.T @ dec.modes, np.eye(9), atol=1e-12)
 
-    def test_sign_convention_deterministic(self, dec_cache):
-        dec = dec_cache(8)
-        for k in range(8):
-            col = dec.modes[:, k]
-            lead = col[np.argmax(np.abs(col) > 1e-8)]
-            assert lead > 0
-
     @pytest.mark.parametrize("n", [2, 8, 57, 300])
     @pytest.mark.parametrize("delta, offset", [(1.0, 0.0), (0.5, 0.3), (1.7, -0.2)])
     def test_sign_flip_matches_column_loop(self, n, delta, offset):
-        # diagonalize takes any real tridiagonal block, a uniformly offset diagonal too
+        # no column's sign is flipped: the modes are eigh_tridiagonal's bytes, for
+        # any real tridiagonal block, a uniformly offset diagonal too
         h = build_sector_hamiltonian(ChainSpec(n, anisotropy=delta))
         h = SectorHamiltonian(h.diagonal + offset, h.off_diagonal)
-        _, expected = eigh_tridiagonal(h.diagonal, h.off_diagonal)
-        for k in range(n):
-            col = expected[:, k]
-            if col[np.argmax(np.abs(col) > 1e-8)] < 0:
-                expected[:, k] = -col
-        assert diagonalize(h).modes.tobytes() == expected.tobytes()
+        energies, expected = eigh_tridiagonal(h.diagonal, h.off_diagonal)
+        dec = diagonalize(h)
+        assert dec.modes.tobytes() == expected.tobytes()
+        assert dec.energies.tobytes() == energies.tobytes()
+
+    @pytest.mark.parametrize("n", [7, 57, 300])
+    def test_outputs_blind_to_column_signs(self, dec_cache, rng, n):
+        # every output multiplies two entries of one column, so flipping the
+        # signs of any columns changes no bit of any output
+        dec = dec_cache(n)
+        signs = rng.choice([-1.0, 1.0], size=n)
+        signs[0] = -1.0
+        flipped = SpectralDecomposition(dec.energies, dec.modes * signs)
+
+        def outputs(d):
+            t = 0.3 * n
+            runs = [greedy_run(d, l_max=6), greedy_run(d, l_max=6, noise=NoiseParams(0.01)),
+                    run_schedule(d, [0.4 * n, 0.7 * n, 0.2 * n], NoiseParams(0.01, 0.03))]
+            amplitude = transition_amplitude(d, n, 1, t)
+            grid = PhaseGrid(d.energies, 0.05 * n, 1.5 * n, 0.05)
+            return (
+                [[float.hex(float(x)) for r in run.records for x in dataclasses.astuple(r)]
+                 for run in runs],
+                [run.amplitudes.tobytes() for run in runs],
+                [float.hex(x) for x in (*first_peak(d), amplitude.real, amplitude.imag)],
+                propagator_matrix(d, t).tobytes(),
+                grid.sums(d.modes[-1, :] * d.modes[0, :]).tobytes(),
+            )
+
+        assert outputs(flipped) == outputs(dec)
 
     def test_results_immutable(self, dec_cache):
         dec = dec_cache(4)
@@ -222,6 +242,12 @@ class TestPhaseGrid:
             grid_points(0.0, 1.0, step)
         with pytest.raises(ValueError, match="step"):
             PhaseGrid(np.zeros(1), 0.0, 1.0, step)
+
+    @pytest.mark.parametrize("t_lo, t_hi", [(0.0, 1e308), (-1e308, 0.0)])
+    def test_rejects_overflowing_phases(self, dec_cache, t_lo, t_hi):
+        # E_max = 7.2 at N = 5, so a phase at |t| = 1e308 is inf and its sum NaN
+        with pytest.raises(ValueError, match="overflow"):
+            PhaseGrid(dec_cache(5).energies, t_lo, t_hi, 1e307)
 
     def test_rejects_empty_grid(self, dec_cache):
         with pytest.raises(ValueError, match="grid"):

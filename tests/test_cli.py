@@ -110,6 +110,12 @@ class TestAmplitude:
         assert out == ""
         assert err.startswith("error:") and "physical memory" in err
 
+    def test_overflowing_phase_is_validation_error(self, capsys):
+        # E_max = 7.2 at N = 5: the phases at t near 1e308 overflow, so no row prints NaN
+        code, out, err = run_cli(capsys, "amplitude", "--n", "5", "--t-max", "1e308", "--dt", "1e307")
+        assert_validation_error(code, out, err)
+        assert "overflow" in err
+
     def test_default_grid_ends_at_one_and_a_half_time_scales(self, capsys):
         code, out, _ = run_cli(capsys, "amplitude", "--n", "7")
         assert code == 0
@@ -238,11 +244,35 @@ class TestProtocol:
             assert float(step) == rec.step_success
             assert float(p_l) == rec.joint_failure
 
-    def test_asymmetric_rates_reject_p_target(self, capsys):
-        code, out, err = run_cli(capsys, "protocol", *self.ASYMMETRIC, "--p-target", "0.1")
-        assert code == 2
-        assert out == ""
-        assert "symmetric" in err
+    def test_asymmetric_rates_accept_p_target(self, capsys):
+        # the one greedy run stops at its first P_l <= 0.1, a prefix of the full run
+        code, out, _ = run_cli(capsys, "protocol", *self.ASYMMETRIC, "--p-target", "0.1")
+        assert code == 0
+        _, full, _ = run_cli(capsys, "protocol", *self.ASYMMETRIC)
+        rows = [l for l in data_section(out) if not l.startswith("#")]
+        full_rows = [l for l in data_section(full) if not l.startswith("#")]
+        p_l = [float(row.split(",")[-1]) for row in rows[1:]]
+        assert p_l[-1] <= 0.1 < min(p_l[:-1])
+        assert rows == full_rows[:len(rows)] and len(rows) < len(full_rows)
+
+    @pytest.mark.parametrize(
+        "argv, intervals",
+        [(("--n", "5"), [1e308, 1.0]),
+         (("--n", "5", "--gamma", "0.1"), [1e308, 1.0]),
+         (("--n", "2"), [4e307] * 5),
+         (("--n", "5", "--delta", "1e307", "--schedule", "uniform", "--l-max", "2"), None),
+         (("--n", "5", "--delta", "1e307", "--l-max", "2"), None)],
+        ids=["phase", "damped-phase", "clock", "uniform-huge-energy", "greedy-huge-energy"],
+    )
+    def test_overflowing_phase_is_validation_error(self, capsys, tmp_path, argv, intervals):
+        # a phase E*t or a clock past the float range is reported, never printed as NaN
+        if intervals is not None:
+            path = tmp_path / "sched.json"
+            path.write_text(json.dumps({"intervals": intervals}))
+            argv = (*argv, "--schedule", str(path))
+        code, out, err = run_cli(capsys, "protocol", *argv)
+        assert_validation_error(code, out, err)
+        assert "overflow" in err
 
     @pytest.mark.parametrize("flags", [("--delta", "nan"), ("--delta=-inf",)])
     def test_non_finite_chain_is_validation_error(self, capsys, flags):
@@ -306,6 +336,32 @@ class TestProtocol:
         )
         assert code == 2
         assert "greedy" in err
+
+
+class TestBenchmarkReferences:
+    """Two benchmark reference runs, reproduced within the benchmark's own tolerances.
+
+    perfbench/refs.json is only read here.  Bitwise equality is not asked for:
+    a second BLAS thread moves last bits.
+    """
+
+    REFS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "refs.json"
+
+    @pytest.mark.parametrize(
+        "table, n, argv",
+        [("greedy", 557, ("--l-max", "20")),  # 557 modes: the scan's FFT route
+         ("p_target", 283, ("--p-target", "0.01", "--l-max", "2000"))],  # its factored table
+        ids=["greedy-557", "p_target-283"],
+    )
+    def test_reproduces_reference(self, capsys, table, n, argv):
+        ref = json.loads(self.REFS.read_text(encoding="utf-8"))[table][str(n)]
+        code, out, _ = run_cli(capsys, "protocol", "--n", str(n), *argv)
+        assert code == 0
+        lines = [l for l in data_section(out) if not l.startswith("#")]
+        assert lines[0] == "l,tau_l_natural,t_abs_natural,step_success,P_l"
+        rows = np.array([[float(x) for x in l.split(",")] for l in lines[1:]])
+        np.testing.assert_allclose(rows[:, 1], ref["intervals"], rtol=0, atol=1e-6)
+        np.testing.assert_allclose(rows[:, 4], ref["P_l"], rtol=0, atol=1e-9)
 
 
 class TestOptimize:

@@ -1,6 +1,7 @@
 """Unit tests of amplitude damping: no-jump evolution, plateaus, asymmetry."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,13 +16,10 @@ class TestNoiseParams:
         noise = NoiseParams(0.02)
         assert noise.gamma_2 == 0.02
         assert noise.symmetric
-        assert noise.gamma == 0.02
 
     def test_asymmetric(self):
         noise = NoiseParams(gamma_1=0.02, gamma_2=0.03)
         assert not noise.symmetric
-        with pytest.raises(ValueError, match="symmetric"):
-            _ = noise.gamma
 
     def test_rejects_negative_rates(self):
         with pytest.raises(ValueError):
@@ -121,12 +119,33 @@ class TestPInfinity:
         p_inf = p_infinity_exact(dec_cache(40), NoiseParams(gamma), stop_tol=1e-12)
         assert p_inf == pytest.approx(0.06396281942012771, abs=1e-12)
 
-    def test_exact_requires_symmetric(self, dec_cache):
-        with pytest.raises(ValueError, match="symmetric"):
-            p_infinity_exact(dec_cache(6), NoiseParams(0.1, 0.2))
+    def test_exact_accepts_unequal_rates(self, dec_cache):
+        # the balanced qubit's plateau under the noiseless greedy intervals
+        dec, noise = dec_cache(6), NoiseParams(0.1, 0.2)
+        p_inf = p_infinity_exact(dec, noise)
+        run = greedy_run(dec, noise=noise, step_success_tol=1e-12, l_max=100_000)
+        replay = protocol.run_schedule(dec, greedy_optimize(dec, len(run.records)), noise)
+        assert 0.0 < p_inf < 1.0
+        assert float.hex(p_inf) == float.hex(replay.records[-1].joint_failure)
 
 
 class TestAsymmetricRun:
+    @pytest.mark.parametrize("n", [2, 20, 300])
+    @pytest.mark.parametrize("rates", [(0.01, 0.02), (0.3, 0.0)], ids=["unequal", "one-rail"])
+    def test_greedy_run_is_noiseless_greedy_replay(self, dec_cache, n, rates):
+        # no qubit-independent damped objective exists for unequal rates, so
+        # greedy_run waits the noiseless intervals and damps only the records
+        dec, noise = dec_cache(n), NoiseParams(*rates)
+        run = greedy_run(dec, l_max=8, noise=noise)
+        replay = protocol.run_schedule(dec, greedy_optimize(dec, 8), noise)
+
+        def hexes(state):
+            fields = [x for r in state.records for x in astuple(r)]
+            return [float.hex(float(x)) for x in (*fields, state.total_success, state.loss)]
+
+        assert hexes(run) == hexes(replay)
+        assert run.coefficients.tobytes() == replay.coefficients.tobytes()
+
     def test_symmetric_rates_give_unit_fidelity(self, dec_cache):
         dec = dec_cache(8)
         result = protocol.run_schedule(dec, uniform_schedule(8, 5), NoiseParams(0.01))

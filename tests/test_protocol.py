@@ -46,6 +46,19 @@ class TestEvolveMeasure:
         with pytest.raises(ValueError, match="interval"):
             protocol.evolve(state, 0.0)
 
+    def test_rejects_overflowing_phase_or_clock(self, dec_cache):
+        # E_max = 4 at N = 2: 4 * 1e308 overflows, 4 * 4e307 does not, but five
+        # such intervals overflow the clock; the state is left as it was
+        state = protocol.init_state(dec_cache(2))
+        with pytest.raises(ValueError, match="overflow"):
+            protocol.evolve(state, 1e308)
+        for _ in range(4):
+            protocol.evolve(state, 4e307)
+        before = state.coefficients.copy()
+        with pytest.raises(ValueError, match="overflow"):
+            protocol.evolve(state, 4e307)
+        assert state.time == 1.6e308 and np.array_equal(state.coefficients, before)
+
     def test_records_accumulate_intervals(self, dec_cache):
         dec = dec_cache(4)
         state = protocol.init_state(dec)

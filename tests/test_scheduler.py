@@ -11,7 +11,6 @@ from dualrail import chain_core, protocol
 from dualrail.protocol import NoiseParams
 from dualrail.scheduler import (
     Schedule,
-    _EndpointObjective,
     ThresholdNotReached,
     default_window,
     greedy_optimize,
@@ -150,10 +149,15 @@ class TestGreedy:
     @pytest.mark.parametrize("n", [2, 7, 40])
     @pytest.mark.parametrize("gamma", [0.0, 0.03])
     def test_refine_objective_is_bit_identical_to_literal_sum(self, dec_cache, rng, n, gamma):
+        # the one exact objective both refines use: greedy's at decay -2 gamma on
+        # complex weights, first_peak's at the default decay 0 on v_N * v_1
         dec = dec_cache(n)
-        objective = _EndpointObjective(dec, gamma)
         w = dec.modes[-1, :] * (rng.normal(size=n) + 1j * rng.normal(size=n))
-        f = objective.refine_objective(w)
-        for tau in rng.uniform(*objective.window, size=50):
+        f = chain_core._phase_sum_objective(dec.energies, w, -2.0 * gamma)
+        w_peak = dec.modes[-1, :] * dec.modes[0, :]
+        f_peak = chain_core._phase_sum_objective(dec.energies, w_peak)
+        for tau in rng.uniform(*default_window(n), size=50):
             literal = math.exp(-2.0 * gamma * tau) * abs(np.sum(w * np.exp(-1j * dec.energies * tau))) ** 2
             assert float.hex(float(f(tau))) == float.hex(float(literal))
+            literal = abs(np.sum(w_peak * np.exp(-1j * dec.energies * tau))) ** 2
+            assert float.hex(float(f_peak(tau))) == float.hex(float(literal))
