@@ -93,13 +93,17 @@ class SpectralDecomposition:
     """Eigensystem of a SectorHamiltonian.
 
     ``energies`` ascending; ``modes[:, k]`` is the orthonormal eigenvector of
-    ``energies[k]``, its sign the eigensolver's: every output multiplies two
-    entries of one column (v_k(N) v_k(1), or u_k a_k with a = V^T c), so no
-    output sees it.  Immutable; safe to share across threads.
+    ``energies[k]``, its sign the eigensolver's: each output multiplies two entries of
+    one column, so none sees it.  The end rows ``sender`` = v(1) and ``receiver`` =
+    v(N) are all the O(N) engine reads; only ``transition_amplitude``,
+    ``propagator_matrix``, ``DualRailState.amplitudes`` and the oracle read ``modes``.
+    Immutable; safe to share across threads.
     """
 
     energies: np.ndarray
     modes: np.ndarray
+    sender: np.ndarray
+    receiver: np.ndarray
 
     @property
     def n_sites(self) -> int:
@@ -126,7 +130,7 @@ def diagonalize(h: SectorHamiltonian) -> SpectralDecomposition:
     energies, modes = eigh_tridiagonal(h.diagonal, h.off_diagonal)
     modes.setflags(write=False)
     energies.setflags(write=False)
-    return SpectralDecomposition(energies=energies, modes=modes)
+    return SpectralDecomposition(energies, modes, sender=modes[0, :], receiver=modes[-1, :])
 
 
 def time_scale(n_sites: int) -> float:
@@ -160,6 +164,7 @@ def transition_amplitude(dec: SpectralDecomposition, r: int, s: int, t: float) -
     """Amplitude <r| exp(-i H t) |s> between site-excitation states (1-based)."""
     _check_site(dec, r)
     _check_site(dec, s)
+    require_finite_phases(dec.energies, t)
     w = dec.modes[r - 1, :] * dec.modes[s - 1, :]
     return complex(np.sum(w * np.exp(-1j * dec.energies * t)))
 
@@ -343,6 +348,7 @@ def propagator_matrix(dec: SpectralDecomposition, tau: float) -> np.ndarray:
     """Unitary F(tau) with F[r-1, s-1] = f_{r,s}(tau)."""
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
+    require_finite_phases(dec.energies, tau)
     phases = np.exp(-1j * dec.energies * tau)
     return (dec.modes * phases) @ dec.modes.T
 
@@ -350,25 +356,24 @@ def propagator_matrix(dec: SpectralDecomposition, tau: float) -> np.ndarray:
 def first_peak(dec: SpectralDecomposition) -> tuple[float, float]:
     """Location and height of the first-arrival maximum of |f_{N,1}(t)|^2.
 
-    Scans t in (0, 0.75 T], T = ``time_scale(N)``, at step 0.01 hbar/J, far
-    below the O(1) width of magnon-bandwidth features, and refines the largest
-    interior local maximum by golden section within one step either side.
-    The scan's G = 75N points go through PhaseGrid, never a (G x N) table:
-    below 300 sites its factored table, O(N * sqrt(G)) = O(N^1.5) memory, and
-    from 300 sites on (G >= 1024) its FFT route, O(N + G) = O(N) memory.
+    Scans t in (0, 0.75 T], T = ``time_scale(N)``, at step 0.01 hbar/J, far below
+    the O(1) width of magnon-bandwidth features, and refines the largest interior
+    local maximum by golden section within one step either side; ValueError if
+    there is none.  The scan's G = 75N points go through PhaseGrid, never a (G x N)
+    table: below 300 sites its factored table, O(N * sqrt(G)) = O(N^1.5) memory,
+    and from 300 sites on (G >= 1024) its FFT route, O(N + G) = O(N) memory.
     """
     step = 0.01
     grid = PhaseGrid(dec.energies, step, 0.75 * time_scale(dec.n_sites), step)
     ts = grid.times
-    w = dec.modes[-1, :] * dec.modes[0, :]
+    w = dec.receiver * dec.sender
     p = np.abs(grid.sums(w)) ** 2
 
     interior = np.arange(1, len(ts) - 1)
     is_max = (p[interior] >= p[interior - 1]) & (p[interior] > p[interior + 1])
     candidates = interior[is_max]
     if len(candidates) == 0:
-        i = int(np.argmax(p))
-        return float(ts[i]), float(p[i])
+        raise ValueError(f"|f_N1(t)|^2 has no interior maximum in (0, {ts[-1]:g}]")
     i = int(candidates[np.argmax(p[candidates])])
 
     t_ref, p_ref = _golden_max(_phase_sum_objective(dec.energies, w), ts[i] - step, ts[i] + step)

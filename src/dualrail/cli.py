@@ -171,7 +171,7 @@ def _cmd_amplitude(cfg: dict) -> int:
     require_physical_memory(float(n_points) * _AMPLITUDE_POINT_BYTES,
                             f"a t grid of {n_points:.4g} points")
     grid = PhaseGrid(dec.energies, 0.0, t_max, dt)
-    probs = np.abs(grid.sums(dec.modes[-1, :] * dec.modes[0, :])) ** 2
+    probs = np.abs(grid.sums(dec.receiver * dec.sender)) ** 2
     ns_suffix, to_ns = _time_columns(cfg)
     columns = ("t_natural", *(f"t{s}" for s in ns_suffix), "p_transfer")
     times = grid.times.tolist()

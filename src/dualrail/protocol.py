@@ -12,7 +12,7 @@ Every run is one loop of ``evolve`` and ``measure`` on the noiseless mode
 coefficients a = V^T c of the eigenbasis V of the chain, at O(N) per step:
 
     evolve:   a <- exp(-i E tau) a
-    measure:  c_N = u . a with u = V[N-1, :], then a <- a - c_N u
+    measure:  c_N = u . a with u = v(N), the receiver row of V, then a <- a - c_N u
 
 Amplitude damping (``NoiseParams``) is one scalar weight on top.  In the
 no-jump picture rail r's component decays as exp(-gamma_r t) while the two
@@ -200,11 +200,11 @@ def init_state(dec: SpectralDecomposition, noise: NoiseParams = NoiseParams(0.0)
 
     The unit vector e_1 stands for the excitation shared by both rails; the
     logical amplitudes never enter because the reduced dynamics is identical
-    for every input qubit.  Its mode coefficients are the first row of V.
+    for every input qubit.  Its mode coefficients are the sender row v(1) of V.
     """
     if dec.n_sites < 2:
         raise ValueError(f"n_sites must be >= 2, got {dec.n_sites}")
-    return DualRailState(dec=dec, coefficients=dec.modes[0, :].astype(complex), noise=noise)
+    return DualRailState(dec=dec, coefficients=dec.sender.astype(complex), noise=noise)
 
 
 def evolve(state: DualRailState, tau: float) -> DualRailState:
@@ -234,7 +234,7 @@ def measure(state: DualRailState) -> tuple[float, DualRailState]:
     Returns the joint success probability of this step and mutates the state:
     c_N is projected out and a MeasurementRecord is appended.
     """
-    u = state.dec.modes[-1, :]
+    u = state.dec.receiver
     c_n = complex(u @ state.coefficients)
     state.coefficients -= c_n * u
     step_success = state.noise.success_weight(state.time) * abs(c_n) ** 2

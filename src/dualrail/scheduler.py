@@ -57,9 +57,9 @@ class _EndpointObjective:
     The objective is exp(-2*gamma*tau) * |(F(tau) c)_N|^2; in the eigenbasis
     this is |w . exp(-i E tau)|^2 for w_k = v_k(N) * (V^T c)_k, up to a
     positive factor that moves no maximum, so the state's noiseless mode
-    coefficients a give the weights w = V[N-1, :] * a directly.  The tau grid
-    (G = 29N points) is planned once per run as one PhaseGrid, which never
-    holds a (G x modes) table: each scan is one matrix product over
+    coefficients a and the receiver row alone give the weights w = v(N) * a.
+    The tau grid (G = 29N points) is planned once per run as one PhaseGrid,
+    which never holds a (G x modes) table: each scan is one matrix product over
     O(N * sqrt(G)) cached phases below its FFT crossover and one O(G log G)
     FFT above it.  The scan only picks candidates; each is refined on the exact
     ``chain_core._phase_sum_objective``, so the grid's 1e-14-relative rounding
@@ -136,9 +136,8 @@ def greedy_run(
 
     objective = _EndpointObjective(dec, noise.gamma_1 if noise.symmetric else 0.0)
     state = protocol.init_state(dec, noise)
-    end_row = dec.modes[-1, :]
     while l_max is None or len(state.records) < l_max:
-        protocol.evolve(state, objective.best_tau(end_row * state.coefficients))
+        protocol.evolve(state, objective.best_tau(dec.receiver * state.coefficients))
         protocol.measure(state)
         rec = state.records[-1]
         if p_target is not None and rec.joint_failure <= p_target:

@@ -126,7 +126,8 @@ class TestDiagonalize:
         dec = dec_cache(n)
         signs = rng.choice([-1.0, 1.0], size=n)
         signs[0] = -1.0
-        flipped = SpectralDecomposition(dec.energies, dec.modes * signs)
+        modes = dec.modes * signs
+        flipped = SpectralDecomposition(dec.energies, modes, modes[0, :], modes[-1, :])
 
         def outputs(d):
             t = 0.3 * n
@@ -140,7 +141,7 @@ class TestDiagonalize:
                 [run.amplitudes.tobytes() for run in runs],
                 [float.hex(x) for x in (*first_peak(d), amplitude.real, amplitude.imag)],
                 propagator_matrix(d, t).tobytes(),
-                grid.sums(d.modes[-1, :] * d.modes[0, :]).tobytes(),
+                grid.sums(d.receiver * d.sender).tobytes(),
             )
 
         assert outputs(flipped) == outputs(dec)
@@ -181,6 +182,12 @@ class TestTransitionAmplitude:
             transition_amplitude(dec, 0, 1, 1.0)
         with pytest.raises(ValueError, match="site index"):
             transition_amplitude(dec, 1, 5, 1.0)
+
+    @pytest.mark.parametrize("t", [1e308, math.inf, math.nan])
+    def test_non_finite_phase_rejected(self, dec_cache, t):
+        # E_max = 7.2 at N = 5: E*t overflows or is NaN, so no NaN amplitude is returned
+        with pytest.raises(ValueError, match="phases"):
+            transition_amplitude(dec_cache(5), 5, 1, t)
 
 
 class TestPhaseGrid:
@@ -298,6 +305,12 @@ class TestPropagator:
         with pytest.raises(ValueError, match="tau"):
             propagator_matrix(dec_cache(3), -0.1)
 
+    @pytest.mark.parametrize("tau", [1e308, math.inf, math.nan])
+    def test_non_finite_phase_rejected(self, dec_cache, tau):
+        # NaN passes the tau < 0 check; the phase check stops it as it stops 1e308 and inf
+        with pytest.raises(ValueError, match="phases"):
+            propagator_matrix(dec_cache(5), tau)
+
 
 class TestFirstPeak:
     def test_two_site_perfect_transfer(self, dec_cache):
@@ -320,3 +333,10 @@ class TestFirstPeak:
     def test_first_arrival_in_units_of_time_scale(self, dec_cache, n):
         # the convention time_scale documents: 0.393 T at N = 2 down to 0.252 T at N = 1000
         assert 0.25 < first_peak(dec_cache(n))[0] / time_scale(n) < 0.40
+
+    def test_no_interior_maximum_is_an_error(self):
+        # at delta = 100 the three-site |f_31|^2 only rises over (0, 0.75 T] =
+        # (0, 2.25]: the scan's end, 0.002 there, is no arrival to report
+        dec = diagonalize(build_sector_hamiltonian(ChainSpec(3, anisotropy=100)))
+        with pytest.raises(ValueError, match="no interior maximum"):
+            first_peak(dec)

@@ -9,6 +9,8 @@ import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -308,18 +310,25 @@ class TestProtocol:
         assert_validation_error(code, out, err)
         assert "physical memory" in err
 
+    J_KELVIN = ("--j-kelvin", "20")
+
+    # two rate families at once, or one without its other rail or its --j-kelvin
     @pytest.mark.parametrize(
-        "rates",
-        [("--gamma", "0.01", "--gamma-ns", "0.1"),
-         ("--gamma-ns", "0.1", "--gamma1-ns", "0.25", "--gamma2-ns", "0.238"),
-         ("--gamma", "0.01", "--gamma1-ns", "0.25", "--gamma2-ns", "0.238")],
-        ids=["gamma+gamma-ns", "gamma-ns+rail-rates", "gamma+rail-rates"],
+        "rates, message",
+        [((*J_KELVIN, "--gamma", "0.01", "--gamma-ns", "0.1"), "one of"),
+         ((*J_KELVIN, "--gamma-ns", "0.1", "--gamma1-ns", "0.25", "--gamma2-ns", "0.238"), "one of"),
+         ((*J_KELVIN, "--gamma", "0.01", "--gamma1-ns", "0.25", "--gamma2-ns", "0.238"), "one of"),
+         ((*J_KELVIN, "--gamma1-ns", "0.25"), "asymmetric rates need"),
+         ((*J_KELVIN, "--gamma2-ns", "0.238"), "asymmetric rates need"),
+         (("--gamma1-ns", "0.25", "--gamma2-ns", "0.238"), "asymmetric rates need"),
+         (("--gamma-ns", "0.1"), "needs --j-kelvin")],
+        ids=["gamma+gamma-ns", "gamma-ns+rail-rates", "gamma+rail-rates", "rail-1-only",
+             "rail-2-only", "rail-rates-without-j-kelvin", "gamma-ns-without-j-kelvin"],
     )
-    def test_conflicting_damping_rates_are_validation_error(self, capsys, rates):
-        code, out, err = run_cli(capsys, "protocol", "--n", "20", "--l-max", "3",
-                                 "--j-kelvin", "20", *rates)
+    def test_conflicting_damping_rates_are_validation_error(self, capsys, rates, message):
+        code, out, err = run_cli(capsys, "protocol", "--n", "20", "--l-max", "3", *rates)
         assert_validation_error(code, out, err)
-        assert "one of" in err
+        assert message in err
 
     @pytest.mark.parametrize("l_max", ["7", "0"])
     def test_l_max_with_schedule_file_is_validation_error(self, capsys, tmp_path, l_max):
@@ -695,6 +704,24 @@ class TestOptionSurface:
                              ids=["bad-value", "missing-command", "bad-choice"])
     def test_command_line_error_is_one_error_line(self, capsys, argv):
         assert_validation_error(*run_cli(capsys, *argv))
+
+    @pytest.mark.parametrize("launch", [("-m", "dualrail"),
+                                        ("-c", "from dualrail import cli; cli.entrypoint()")],
+                             ids=["python-m", "entrypoint"])
+    @pytest.mark.parametrize("argv, code", [(("amplitude", "--n", "3", "--t-max", "1"), 0),
+                                            (("amplitude", "--n", "3", "--bogus"), 2)],
+                             ids=["csv", "unknown-flag"])
+    def test_process_entry_points(self, launch, argv, code):
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, *launch, *argv], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert done.returncode == code, done.stderr
+        if code == 0:
+            assert done.stderr == ""
+            assert "t_natural,p_transfer" in done.stdout.splitlines()
+        else:
+            assert_validation_error(done.returncode, done.stdout, done.stderr)
+            assert "unrecognized arguments: --bogus" in done.stderr
 
     @pytest.mark.parametrize("argv", [("--help",), ("protocol", "--help")])
     def test_help_exits_zero(self, capsys, argv):

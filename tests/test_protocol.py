@@ -22,7 +22,8 @@ class TestInitState:
         assert state.records == []
 
     def test_rejects_single_site(self):
-        one_site = SpectralDecomposition(energies=np.zeros(1), modes=np.ones((1, 1)))
+        one_site = SpectralDecomposition(energies=np.zeros(1), modes=np.ones((1, 1)),
+                                         sender=np.ones(1), receiver=np.ones(1))
         with pytest.raises(ValueError, match="n_sites"):
             protocol.init_state(one_site)
 
