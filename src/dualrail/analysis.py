@@ -152,6 +152,8 @@ def fit_time_scaling(n_values: Sequence[int], p_values: Sequence[float]) -> Powe
         raise ValueError(f"need at least 4 chain lengths, got {len(ns)}")
     if not all(0.0 < p < 1.0 for p in ps):
         raise ValueError(f"failure targets must be finite and in (0, 1), got {list(p_values)}")
+    if len(ps) < 2:
+        raise ValueError(f"need at least 2 distinct failure targets, got {list(p_values)}")
     if max(ps) / min(ps) < 100.0:
         raise ValueError("failure targets must span at least two decades")
     return _crossing_fit(ns, ps)[1]

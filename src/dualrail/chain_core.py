@@ -95,8 +95,8 @@ class SpectralDecomposition:
     ``energies`` ascending; ``modes[:, k]`` is the orthonormal eigenvector of
     ``energies[k]``, its sign the eigensolver's: each output multiplies two entries of
     one column, so none sees it.  The end rows ``sender`` = v(1) and ``receiver`` =
-    v(N) are all the O(N) engine reads; only ``transition_amplitude``,
-    ``propagator_matrix``, ``DualRailState.amplitudes`` and the oracle read ``modes``.
+    v(N) are all the O(N) engine reads; ``modes`` has two readers,
+    ``transition_amplitude`` and ``propagator_matrix``, and the oracle uses those.
     Immutable; safe to share across threads.
     """
 
@@ -152,12 +152,12 @@ def time_scale(n_sites: int) -> float:
 def require_finite_phases(energies: np.ndarray, t: float) -> None:
     """ValueError unless every phase E_k t of the ascending ``energies`` is finite; O(1)."""
     if not math.isfinite(max(abs(energies.item(0)), abs(energies.item(-1))) * float(t)):
-        raise ValueError(f"the phases E*t overflow at t = {t:g}")
+        raise ValueError(f"the phases E*t are not finite at t = {t:g} (an overflow or a NaN time)")
 
 
-def _check_site(dec: SpectralDecomposition, site: int) -> None:
-    if not 1 <= site <= dec.n_sites:
-        raise ValueError(f"site index {site} outside 1..{dec.n_sites}")
+def _check_site(dec: SpectralDecomposition, site) -> None:
+    if isinstance(site, bool) or not isinstance(site, (int, np.integer)) or not 1 <= site <= dec.n_sites:
+        raise ValueError(f"site index must be an int in 1..{dec.n_sites}, got {site!r}")
 
 
 def transition_amplitude(dec: SpectralDecomposition, r: int, s: int, t: float) -> complex:

@@ -6,7 +6,8 @@ vector c over the N sites of one chain, independent of the logical input
 qubit.  The state is kept *unnormalized*: after a failed measurement the end
 amplitude is projected out without renormalizing, so |c_N|^2 at the next
 measurement is directly the joint (not conditional) success probability of
-that step.  The normalized post-failure state of the paper is c / ||c||.
+that step.  The paper's normalized post-failure state is a / ||a|| in the
+mode basis below; the site vector c itself is never formed.
 
 Every run is one loop of ``evolve`` and ``measure`` on the noiseless mode
 coefficients a = V^T c of the eigenbasis V of the chain, at O(N) per step:
@@ -137,7 +138,8 @@ class DualRailState:
     """Noiseless mode coefficients of the failure branch plus bookkeeping.
 
     ``coefficients`` holds a = V^T c_0, where c_0 is the site vector the run
-    would have without damping; ``noise`` weights it by ``success_weight``.
+    would have without damping; ``noise`` weights it by ``success_weight``,
+    so ``norm_sq()`` = ||c||^2 = W(t) ||a||^2.
     """
 
     dec: SpectralDecomposition
@@ -148,14 +150,6 @@ class DualRailState:
     loss: float = 0.0
     time: float = 0.0
     _pending_interval: float = 0.0
-
-    @property
-    def n_sites(self) -> int:
-        return self.dec.n_sites
-
-    @property
-    def joint_failure(self) -> float:
-        return 1.0 - self.total_success
 
     @property
     def p_trajectory(self) -> np.ndarray:
@@ -171,28 +165,9 @@ class DualRailState:
         """Lowest balanced-qubit decoded fidelity over the run's measurements."""
         return min(self.noise.worst_case_fidelity(r.absolute_time) for r in self.records)
 
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """Site amplitudes c = sqrt(W(t)) V a, so that ||c||^2 = ``norm_sq()``, derived on each call.
-
-        Exactly e_1 before the first evolution, and c_N is exactly 0 right
-        after a measurement, as in the exact state.
-        """
-        if self.time == 0.0:
-            c = np.zeros(self.n_sites, dtype=complex)
-            c[0] = 1.0
-            return c
-        c = math.sqrt(self.noise.success_weight(self.time)) * (self.dec.modes @ self.coefficients)
-        if self._pending_interval == 0.0:
-            c[-1] = 0.0
-        return c
-
     def norm_sq(self) -> float:
         a = self.coefficients
         return self.noise.success_weight(self.time) * float(np.vdot(a, a).real)
-
-    def normalized(self) -> np.ndarray:
-        return self.amplitudes / math.sqrt(self.norm_sq())
 
 
 def init_state(dec: SpectralDecomposition, noise: NoiseParams = NoiseParams(0.0)) -> DualRailState:

@@ -109,14 +109,15 @@ class _EndpointObjective:
 def greedy_run(
     dec: SpectralDecomposition,
     *,
-    l_max: Optional[int] = None,
+    l_max: int,
     p_target: Optional[float] = None,
     step_success_tol: Optional[float] = None,
     noise: NoiseParams = NoiseParams(0.0),
 ) -> DualRailState:
-    """Run the protocol with greedily optimized intervals until a stop condition.
+    """Run the protocol with greedily optimized intervals for at most ``l_max`` measurements.
 
-    Stop conditions (at least one required): ``l_max`` measurements done,
+    The cap ``l_max`` is required, so every run ends: a damped P(l) can
+    stall above any ``p_target``.  Two optional conditions stop it earlier:
     joint failure below ``p_target``, or last joint step success below
     ``step_success_tol`` (plateau detection for damped runs).  ``noise``
     damps the run at any rates.  Equal rates gamma weight the objective by
@@ -127,16 +128,14 @@ def greedy_run(
     Raises ThresholdNotReached when ``p_target`` is given and the run stops
     above it.
     """
-    if l_max is None and p_target is None and step_success_tol is None:
-        raise ValueError("need at least one stop condition")
-    if l_max is not None and l_max < 1:
+    if l_max < 1:
         raise ValueError(f"l_max must be >= 1, got {l_max}")
     if p_target is not None and not 0.0 < p_target < 1.0:
         raise ValueError(f"p_target must be in (0, 1), got {p_target}")
 
     objective = _EndpointObjective(dec, noise.gamma_1 if noise.symmetric else 0.0)
     state = protocol.init_state(dec, noise)
-    while l_max is None or len(state.records) < l_max:
+    while len(state.records) < l_max:
         protocol.evolve(state, objective.best_tau(dec.receiver * state.coefficients))
         protocol.measure(state)
         rec = state.records[-1]

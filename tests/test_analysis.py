@@ -115,6 +115,9 @@ class TestPowerLawFit:
             analysis.fit_time_scaling([10, 20, 30], [0.1, 0.001])
         with pytest.raises(ValueError, match="two decades"):
             analysis.fit_time_scaling([10, 20, 30, 40], [0.1, 0.05])
+        for p_values in ([], [0.01], [0.01, 0.01]):
+            with pytest.raises(ValueError, match=r"at least 2 distinct failure targets, got \["):
+                analysis.fit_time_scaling([10, 20, 30, 40], p_values)
 
         # every target must be finite and in (0, 1), checked before any greedy run
         def no_greedy(*args, **kwargs):

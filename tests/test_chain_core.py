@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -138,7 +139,6 @@ class TestDiagonalize:
             return (
                 [[float.hex(float(x)) for r in run.records for x in dataclasses.astuple(r)]
                  for run in runs],
-                [run.amplitudes.tobytes() for run in runs],
                 [float.hex(x) for x in (*first_peak(d), amplitude.real, amplitude.imag)],
                 propagator_matrix(d, t).tobytes(),
                 grid.sums(d.receiver * d.sender).tobytes(),
@@ -182,11 +182,17 @@ class TestTransitionAmplitude:
             transition_amplitude(dec, 0, 1, 1.0)
         with pytest.raises(ValueError, match="site index"):
             transition_amplitude(dec, 1, 5, 1.0)
+        # a site is an integer, as a chain length is: no float, however whole, and no bool
+        for r, s in ((2.5, 1), (True, 1), (1, 2.0), (1, np.bool_(True)), ("2", 1)):
+            with pytest.raises(ValueError, match="site index"):
+                transition_amplitude(dec, r, s, 1.0)
+        assert transition_amplitude(dec, np.int64(4), 1, 1.0) == transition_amplitude(dec, 4, 1, 1.0)
 
     @pytest.mark.parametrize("t", [1e308, math.inf, math.nan])
     def test_non_finite_phase_rejected(self, dec_cache, t):
         # E_max = 7.2 at N = 5: E*t overflows or is NaN, so no NaN amplitude is returned
-        with pytest.raises(ValueError, match="phases"):
+        message = f"the phases E*t are not finite at t = {t:g} (an overflow or a NaN time)"
+        with pytest.raises(ValueError, match=re.escape(message)):
             transition_amplitude(dec_cache(5), 5, 1, t)
 
 
@@ -308,7 +314,8 @@ class TestPropagator:
     @pytest.mark.parametrize("tau", [1e308, math.inf, math.nan])
     def test_non_finite_phase_rejected(self, dec_cache, tau):
         # NaN passes the tau < 0 check; the phase check stops it as it stops 1e308 and inf
-        with pytest.raises(ValueError, match="phases"):
+        message = f"the phases E*t are not finite at t = {tau:g} (an overflow or a NaN time)"
+        with pytest.raises(ValueError, match=re.escape(message)):
             propagator_matrix(dec_cache(5), tau)
 
 

@@ -8,6 +8,7 @@ fails here.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from dualrail import analysis, cli
@@ -51,20 +52,48 @@ def record_hexes(run):
             + [float.hex(run.loss), float.hex(run.total_success)])
 
 
+def library_runs(d):
+    n = d.n_sites
+    return [greedy_run(d, l_max=6),
+            greedy_run(d, l_max=6, noise=NoiseParams(0.01)),
+            greedy_run(d, l_max=6, noise=NoiseParams(0.003, 0.02)),
+            run_schedule(d, [0.4 * n, 0.7 * n, 0.2 * n], NoiseParams(0.01, 0.03))]
+
+
 # 7 and 57 modes scan on PhaseGrid's factored table, 557 on its FFT route
 @pytest.mark.parametrize("n", [7, 57, 557])
 def test_library_runs_need_only_the_end_rows(dec_cache, n):
     def outputs(d):
-        runs = [greedy_run(d, l_max=6),
-                greedy_run(d, l_max=6, noise=NoiseParams(0.01)),
-                greedy_run(d, l_max=6, noise=NoiseParams(0.003, 0.02)),
-                run_schedule(d, [0.4 * n, 0.7 * n, 0.2 * n], NoiseParams(0.01, 0.03))]
-        return ([record_hexes(run) for run in runs],
+        return ([record_hexes(run) for run in library_runs(d)],
                 float.hex(p_infinity_exact(d, NoiseParams(2.0 / n), stop_tol=1e-6)),
                 [float.hex(x) for x in first_peak(d)])
 
     dec = dec_cache(n)
     assert outputs(endpoint_only(dec)) == outputs(dec)
+
+
+def public_reads(state):
+    """Every public property and method of a run's state, found by ``dir()`` and compared by bits.
+
+    ``dec`` is the run's input, not a read of it; each method takes no argument.
+    """
+    reads = {}
+    for name in dir(state):
+        if name.startswith("_") or name == "dec":
+            continue
+        value = getattr(state, name)
+        value = value() if callable(value) else value
+        value = getattr(value, "intervals", value)  # a Schedule by its intervals
+        reads[name] = value.tobytes() if isinstance(value, np.ndarray) else value
+    return reads
+
+
+@pytest.mark.parametrize("n", [7, 57])
+def test_run_state_needs_only_the_end_rows(dec_cache, n):
+    dec = dec_cache(n)
+    plain = [public_reads(run) for run in library_runs(dec)]
+    assert {"coefficients", "norm_sq", "p_trajectory", "schedule"} <= set(plain[0])
+    assert [public_reads(run) for run in library_runs(endpoint_only(dec))] == plain
 
 
 @pytest.mark.parametrize("n", [7, 57, 557])

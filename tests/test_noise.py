@@ -34,9 +34,10 @@ class TestEvolveDamped:
         gamma, tau = 0.07, 3.0
         free = protocol.run_schedule(dec, [tau])
         damped = protocol.run_schedule(dec, [tau], noise=NoiseParams(gamma))
-        np.testing.assert_allclose(
-            damped.amplitudes, math.exp(-gamma * tau) * free.amplitudes, atol=1e-14
-        )
+        # damping is the scalar weight alone: the mode coefficients keep every bit
+        assert damped.coefficients.tobytes() == free.coefficients.tobytes()
+        assert damped.norm_sq() == pytest.approx(math.exp(-2.0 * gamma * tau) * free.norm_sq(),
+                                                 rel=1e-14)
 
     def test_probability_conservation_with_loss(self, dec_cache):
         dec = dec_cache(6)

@@ -15,8 +15,9 @@ from dualrail.scheduler import Schedule
 
 class TestInitState:
     def test_excitation_at_sender(self, dec_cache):
-        state = protocol.init_state(dec_cache(5))
-        np.testing.assert_allclose(state.amplitudes, [1, 0, 0, 0, 0])
+        dec = dec_cache(5)
+        state = protocol.init_state(dec)
+        np.testing.assert_array_equal(state.coefficients, dec.sender)
         assert state.total_success == 0.0
         assert state.loss == 0.0
         assert state.records == []
@@ -39,8 +40,8 @@ class TestEvolveMeasure:
         protocol.evolve(state, math.pi / 4)
         step, _ = protocol.measure(state)
         assert step == pytest.approx(1.0, abs=1e-12)
-        assert state.joint_failure == pytest.approx(0.0, abs=1e-12)
-        assert abs(state.amplitudes[-1]) == 0.0
+        assert state.records[-1].joint_failure == pytest.approx(0.0, abs=1e-12)
+        assert state.norm_sq() == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_nonpositive_interval(self, dec_cache):
         state = protocol.init_state(dec_cache(3))
@@ -85,13 +86,6 @@ class TestEvolveMeasure:
         protocol.evolve(state, 2.0)
         step, _ = protocol.measure(state)
         assert state.norm_sq() == pytest.approx(1.0 - step, abs=1e-12)
-
-    def test_normalized_view(self, dec_cache):
-        dec = dec_cache(5)
-        state = protocol.init_state(dec)
-        protocol.evolve(state, 2.0)
-        protocol.measure(state)
-        assert np.linalg.norm(state.normalized()) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRunSchedule:

@@ -98,9 +98,12 @@ class TestGreedy:
         assert run.records[-1].joint_failure <= 1e-3
         assert run.records[-2].joint_failure > 1e-3
 
-    def test_needs_a_stop_condition(self, dec_cache):
-        with pytest.raises(ValueError, match="stop condition"):
-            greedy_run(dec_cache(4))
+    def test_needs_a_measurement_cap(self, dec_cache):
+        # p_target alone need not stop a run: at gamma = 0.5 and N = 4, P(l)
+        # stalls at 0.809, so without the cap this call would never return
+        for stop in ({}, {"p_target": 1e-3, "noise": NoiseParams(0.5)}):
+            with pytest.raises(TypeError, match="l_max"):
+                greedy_run(dec_cache(4), **stop)
 
     @pytest.mark.parametrize("l_max", [0, -3])
     def test_rejects_no_measurements(self, dec_cache, l_max):
