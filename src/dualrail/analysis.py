@@ -229,12 +229,13 @@ def reproduce_figure(fig_id: int) -> FigureDataset:
 
     if fig_id == 4:
 
-        def cell(n, jg):
+        def cell(n, dec, jg):
             gamma = gamma_to_natural(jg)
-            exact = p_infinity_exact(_decomposition(n), NoiseParams(gamma), stop_tol=FIG4_STOP_TOL)
+            exact = p_infinity_exact(dec, NoiseParams(gamma), stop_tol=FIG4_STOP_TOL)
             return (n, jg, exact, p_infinity_estimate(n, gamma))
 
-        rows = [cell(n, jg) for n in FIG4_N_SET for jg in FIG4_J_OVER_GAMMA_SET]
+        decs = {n: _decomposition(n) for n in FIG4_N_SET}  # one spectrum per chain length
+        rows = [cell(n, decs[n], jg) for n in FIG4_N_SET for jg in FIG4_J_OVER_GAMMA_SET]
         return FigureDataset(
             figure=4,
             metadata={"fig": 4, "n_set": " ".join(map(str, FIG4_N_SET)),

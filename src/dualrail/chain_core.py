@@ -308,27 +308,128 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_TOL = 1e-6
 
 
-def _golden_max(f, a: float, b: float) -> tuple[float, float]:
+def _golden_max(f, a: float, b: float, model) -> tuple[float, float]:
     """Golden-section maximization of f on [a, b] to interval width _REFINE_TOL.
 
     The one refine step of every grid scan here: ``first_peak`` and the greedy
     scheduler's objective each pick their own grid candidates, then refine them
     with this routine, on ``_phase_sum_objective``, to the same precision.
+
+    ``model(t)`` returns (value, bound) with |value - f(t)| <= bound, from
+    ``_TaylorBasis.model``.  A comparison f(c) >= f(d) is decided on the model
+    only when the two values differ by more than the sum of their bounds;
+    otherwise both points are evaluated with f, and an f value has bound 0.  So
+    every decision, and with it (x, f(x)), is the one that f alone would give,
+    at about 4-7 evaluations of f per refine on the default chain instead of 27.
     """
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
+    (fc, ec), (fd, ed) = model(c), model(d)
     while (b - a) > _REFINE_TOL:
+        if not abs(fc - fd) > ec + ed:  # also taken for a NaN or infinite bound
+            if ec:
+                fc, ec = f(c), 0.0
+            if ed:
+                fd, ed = f(d), 0.0
         if fc >= fd:
-            b, d, fd = d, c, fc
+            b, d, fd, ed = d, c, fc, ec
             c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
+            fc, ec = model(c)
         else:
-            a, c, fc = c, d, fd
+            a, c, fc, ec = c, d, fd, ed
             d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
+            fd, ed = model(d)
     x = 0.5 * (a + b)
     return x, f(x)
+
+
+_TAYLOR_DEGREE = 12
+_UNIT_ROUNDOFF = 2.0**-53
+# the spacing of subnormal floats: a product that underflows rounds by half of it
+_SUBNORMAL_SPACING = 2.0**-1074
+# each model bound is this multiple of the rounding analysis in _TaylorBasis
+_MODEL_SAFETY = 4.0
+
+
+class _TaylorBasis:
+    """Local models of ``_phase_sum_objective`` on brackets of half-width <= h.
+
+    Built once per scan of ``energies`` (a greedy run, a ``first_peak`` call).
+    With Ebar = (E_min + E_max)/2, x_k = (E_k - Ebar) h and a bracket midpoint
+    t0, the degree-12 Taylor expansion in sigma = (t - t0)/h, |sigma| <= 1, is
+
+        |sum_k w_k exp(-i E_k t)| ~ |T| = |sum_j a_j sigma^j|,
+        a_j = sum_k rows[j, k] w_k exp(-i (E_k - Ebar) t0),  rows[j, k] = (-i x_k)^j / j!,
+
+    one exponential pass and one 13 x N product per model.  With r = max|x_k|
+    and u the unit roundoff, |T| is within
+
+        eps = sum|w| r^13 / 13!                               (the Taylor remainder)
+            + (2N + 128) u e^r sum|w|            (products, sums, Horner, exponentials)
+            + u max(|a|, |b|, |t0|) sum_k |w_k| (2 e^r |E_k - Ebar| + |E_k|)   (phases)
+
+    of the sum that ``_phase_sum_objective`` computes in floats; the phase term
+    holds the exact evaluator's fl(E_k t), its largest error.  The objective
+    D |S|^2, D = exp(decay t) <= 1, is then within
+    D ((2|T| + eps) eps + 8u (|T| + eps)^2) + 2s: both D (|.|^2) round relative
+    to themselves or, where they underflow, by up to the subnormal spacing s.
+    From r = 8 on the remainder alone exceeds sum|w|, so no rows are built and
+    every comparison goes to f.
+    """
+
+    def __init__(self, energies: np.ndarray, half_width: float):
+        self._half_width = half_width
+        shift = energies - 0.5 * (energies[0] + energies[-1])
+        radius = half_width * max(abs(shift[0]), abs(shift[-1]))
+        self._rows = None
+        if radius >= 8.0:
+            return
+        m, growth = _TAYLOR_DEGREE, math.exp(radius)
+        self._rates = -1j * shift
+        rows = np.empty((m + 1, len(energies)), complex)
+        rows[0] = 1.0
+        for j in range(1, m + 1):
+            rows[j] = rows[j - 1] * (half_width / j) * self._rates
+        self._rows = rows
+        self._per_weight = (radius ** (m + 1) / math.factorial(m + 1)
+                            + (2 * len(energies) + 8 * m + 32) * _UNIT_ROUNDOFF * growth)
+        self._phase_scale = _UNIT_ROUNDOFF * (2.0 * growth * np.abs(shift) + np.abs(energies))
+
+    def model(self, w: np.ndarray, decay: float, a: float, b: float):
+        """t -> (value, bound) for ``_phase_sum_objective(energies, w, decay)`` on [a, b].
+
+        bound >= |value - f(t)| for every t in [a, b]; ValueError if the
+        bracket is wider than 2h.
+        """
+        h = self._half_width
+        if b - a > 2.0 * h * (1.0 + 1e-9):
+            raise ValueError(f"bracket [{a}, {b}] is wider than the basis' 2 * {h}")
+        if self._rows is None:
+            return lambda t: (0.0, math.inf)
+        t0 = 0.5 * (a + b)
+        coefs = self._rows @ (w * np.exp(self._rates * t0))
+        weight = np.abs(w)
+        eps = (self._per_weight * float(weight.sum())
+               + float(weight @ self._phase_scale) * max(abs(a), abs(b), abs(t0)))
+        # with |T| <= sum|a_j| = A: 8u (|T| + eps)^2 <= 8u (|T| + eps)(A + eps), so the
+        # bound is D (slope |T| + offset), linear in |T|
+        square = 8.0 * _UNIT_ROUNDOFF * (float(np.abs(coefs).sum()) + eps)
+        slope = _MODEL_SAFETY * (2.0 * eps + square)
+        offset = _MODEL_SAFETY * eps * (eps + square)
+        underflow = _MODEL_SAFETY * 2.0 * _SUBNORMAL_SPACING
+        coefs = coefs.tolist()[::-1]
+        inv_h = 1.0 / h
+
+        def evaluate(t: float) -> tuple[float, float]:
+            s = (t - t0) * inv_h
+            acc = 0j
+            for coef in coefs:
+                acc = acc * s + coef
+            mag = abs(acc)
+            damp = math.exp(decay * t)
+            return damp * (mag * mag), damp * (slope * mag + offset) + underflow
+
+        return evaluate
 
 
 def _phase_sum_objective(energies: np.ndarray, w: np.ndarray, decay: float = 0.0):
@@ -376,7 +477,9 @@ def first_peak(dec: SpectralDecomposition) -> tuple[float, float]:
         raise ValueError(f"|f_N1(t)|^2 has no interior maximum in (0, {ts[-1]:g}]")
     i = int(candidates[np.argmax(p[candidates])])
 
-    t_ref, p_ref = _golden_max(_phase_sum_objective(dec.energies, w), ts[i] - step, ts[i] + step)
+    a, b = ts[i] - step, ts[i] + step
+    model = _TaylorBasis(dec.energies, step).model(w, 0.0, a, b)
+    t_ref, p_ref = _golden_max(_phase_sum_objective(dec.energies, w), a, b, model)
     if p_ref >= p[i]:
         return float(t_ref), float(p_ref)
     return float(ts[i]), float(p[i])

@@ -157,13 +157,18 @@ class DualRailState:
 
     @property
     def schedule(self) -> Schedule:
-        """The intervals this run waited, in measurement order."""
-        return Schedule(intervals=np.array([r.interval for r in self.records]))
+        """The intervals this run waited, in measurement order; ValueError before any."""
+        return Schedule(intervals=np.array([r.interval for r in self._measured()]))
 
     @property
     def min_worst_case_fidelity(self) -> float:
-        """Lowest balanced-qubit decoded fidelity over the run's measurements."""
-        return min(self.noise.worst_case_fidelity(r.absolute_time) for r in self.records)
+        """Lowest balanced-qubit decoded fidelity over the run's measurements; ValueError before any."""
+        return min(self.noise.worst_case_fidelity(r.absolute_time) for r in self._measured())
+
+    def _measured(self) -> list:
+        if not self.records:
+            raise ValueError("no measurement recorded yet")
+        return self.records
 
     def norm_sq(self) -> float:
         a = self.coefficients

@@ -9,7 +9,10 @@ failure) and is fully deterministic, with grid ties broken toward smaller tau.
 
 The search window is default_window(N) = (0.05 T, 1.5 T) with
 T = chain_core.time_scale(N).  The grid step 0.05 is fixed; refinement stops
-at chain_core._REFINE_TOL.
+at chain_core._REFINE_TOL.  Each refine decides its golden-section comparisons
+on a local Taylor model of the objective (``chain_core._TaylorBasis``, one per
+run) and evaluates the exact objective only where the model's error bound
+cannot decide, so the schedule is the one exact comparisons give.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from typing import Optional
 import numpy as np
 
 from . import protocol
-from .chain_core import PhaseGrid, SpectralDecomposition, _golden_max, _phase_sum_objective, time_scale
+from .chain_core import (PhaseGrid, SpectralDecomposition, _golden_max, _phase_sum_objective, _TaylorBasis,
+                         time_scale)
 from .protocol import DualRailState, NoiseParams, Schedule
 
 _GRID_STEP = 0.05
@@ -63,7 +67,8 @@ class _EndpointObjective:
     O(N * sqrt(G)) cached phases below its FFT crossover and one O(G log G)
     FFT above it.  The scan only picks candidates; each is refined on the exact
     ``chain_core._phase_sum_objective``, so the grid's 1e-14-relative rounding
-    moves no schedule.
+    moves no schedule.  The refine's 13 x N Taylor basis is built once here,
+    for brackets of half-width one grid step.
     """
 
     def __init__(self, dec: SpectralDecomposition, gamma: float):
@@ -72,6 +77,7 @@ class _EndpointObjective:
         self.dec = dec
         self.grid = PhaseGrid(dec.energies, *self.window, _GRID_STEP)
         self._damp = np.exp(-2.0 * gamma * self.grid.times)
+        self._taylor = _TaylorBasis(dec.energies, _GRID_STEP)
 
     def best_tau(self, w: np.ndarray) -> float:
         obj = self._damp * np.abs(self.grid.sums(w)) ** 2
@@ -87,13 +93,14 @@ class _EndpointObjective:
         is_peak = (obj > left) & (obj >= right)
         candidates = np.nonzero(is_peak & (obj >= 0.95 * best_grid))[0]
 
-        f = _phase_sum_objective(self.dec.energies, w, -2.0 * self.gamma)
+        decay = -2.0 * self.gamma
+        f = _phase_sum_objective(self.dec.energies, w, decay)
         refined = []
         for j in candidates:
             tau_grid, val_grid = float(self.grid.times[j]), float(obj[j])
             a = max(self.window[0], tau_grid - _GRID_STEP)
             b = min(self.window[1], tau_grid + _GRID_STEP)
-            tau_ref, val_ref = _golden_max(f, a, b)
+            tau_ref, val_ref = _golden_max(f, a, b, self._taylor.model(w, decay, a, b))
             # golden section assumes local unimodality; keep the raw grid
             # point whenever refinement did not actually improve
             if val_ref > val_grid:

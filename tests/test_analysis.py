@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dualrail import analysis
+from dualrail.chain_core import diagonalize
 
 
 def assert_message(call, message):
@@ -179,6 +180,18 @@ class TestFigureDatasets:
         for _, _, exact, estimate in ds.rows:
             assert 0.0 <= exact < 1.0
             assert 0.0 <= estimate < 1.0
+
+    def test_fig4_builds_one_spectrum_per_chain(self, monkeypatch):
+        calls = []
+
+        def counting(h):
+            calls.append(len(h.diagonal))
+            return diagonalize(h)
+
+        monkeypatch.setattr(analysis, "diagonalize", counting)
+        ds = analysis.reproduce_figure(4)
+        assert sorted(calls) == sorted(analysis.FIG4_N_SET)
+        assert len(ds.rows) == len(analysis.FIG4_N_SET) * len(analysis.FIG4_J_OVER_GAMMA_SET)
 
     def test_unknown_figure(self):
         with pytest.raises(ValueError, match="figure id"):

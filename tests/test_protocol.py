@@ -28,6 +28,13 @@ class TestInitState:
         with pytest.raises(ValueError, match="n_sites"):
             protocol.init_state(one_site)
 
+    def test_views_before_any_measurement(self, dec_cache):
+        state = protocol.init_state(dec_cache(4))
+        assert state.p_trajectory.size == 0
+        for view in ("schedule", "min_worst_case_fidelity"):
+            with pytest.raises(ValueError, match="^no measurement recorded yet$"):
+                getattr(state, view)
+
     @pytest.mark.parametrize("gamma", [-0.05, math.nan, math.inf])
     def test_rejects_bad_damping_rate(self, dec_cache, gamma):
         with pytest.raises(ValueError, match="damping rate"):
