@@ -75,8 +75,10 @@ def fit_power_law(x_values: Sequence[float], y_values: Sequence[float]) -> Power
     y = np.asarray(y_values, dtype=float)
     if len(x) != len(y) or len(x) < 2:
         raise ValueError("need at least two matching samples")
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ValueError("power-law fit needs positive samples")
+    bad = ~(np.isfinite(x) & np.isfinite(y) & (x > 0) & (y > 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"power-law fit needs finite positive samples, got x[{i}] = {x[i]}, y[{i}] = {y[i]}")
     lx, ly = np.log(x), np.log(y)
     exponent, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (exponent * lx + intercept)
@@ -115,15 +117,24 @@ def failure_crossing_times(n: int, p_targets: Sequence[float]) -> dict[float, fl
     """Absolute greedy-protocol time at which P(l) first crosses each target.
 
     Raises ThresholdNotReached when 2000 measurements do not reach the
-    smallest target.
+    smallest target, and ValueError unless there is a target and each is in (0, 1).
     """
     targets = sorted(p_targets, reverse=True)
+    if not targets:
+        raise ValueError("need at least one failure target, got []")
+    _require_failure_targets(targets)
     run = greedy_run(_decomposition(n), p_target=min(targets), l_max=2000)
     out = {}
     for target in targets:
         rec = next(r for r in run.records if r.joint_failure <= target)
         out[target] = rec.absolute_time
     return out
+
+
+def _require_failure_targets(ps: Sequence[float]) -> None:
+    bad = [p for p in ps if not 0.0 < p < 1.0]
+    if bad:
+        raise ValueError(f"failure targets must be finite and in (0, 1), got {bad}")
 
 
 def _crossing_fit(ns: Sequence[int], ps: Sequence[float]) -> tuple[dict, PowerLawFit]:
@@ -150,8 +161,7 @@ def fit_time_scaling(n_values: Sequence[int], p_values: Sequence[float]) -> Powe
     ps = sorted(set(float(p) for p in p_values), reverse=True)
     if len(ns) < 4:
         raise ValueError(f"need at least 4 chain lengths, got {len(ns)}")
-    if not all(0.0 < p < 1.0 for p in ps):
-        raise ValueError(f"failure targets must be finite and in (0, 1), got {list(p_values)}")
+    _require_failure_targets(ps)
     if len(ps) < 2:
         raise ValueError(f"need at least 2 distinct failure targets, got {list(p_values)}")
     if max(ps) / min(ps) < 100.0:

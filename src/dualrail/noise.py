@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from . import protocol
-from .chain_core import SpectralDecomposition, require_chain_length, time_scale
+from .chain_core import SpectralDecomposition, require_int, time_scale
 from .protocol import DualRailState, NoiseParams
 from .scheduler import greedy_run
 
@@ -46,7 +46,7 @@ def p_infinity_estimate(n_sites: int, gamma: float) -> float:
     that has already decayed.  At N = 40, J/Gamma = 50 it gives 6.31e-5
     against an exact greedy plateau of 6.40e-2, about 1000x lower.
     """
-    require_chain_length(n_sites)
+    require_int(n_sites, "n_sites", 2)
     if not (math.isfinite(gamma) and gamma >= 0):
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     if gamma == 0.0:

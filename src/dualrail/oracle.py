@@ -174,9 +174,7 @@ def dual_rail_protocol_full(
     n = spec.n_sites
     if n > MAX_DUAL_RAIL_SITES:
         raise ValueError(f"dual-rail oracle capped at {MAX_DUAL_RAIL_SITES} sites, got {n}")
-    intervals = np.asarray(schedule if not hasattr(schedule, "intervals") else schedule.intervals, dtype=float)
-    if intervals.size == 0 or not np.all(np.isfinite(intervals) & (intervals > 0)):
-        raise ValueError("schedule must be non-empty with finite positive intervals")
+    intervals = protocol.Schedule(getattr(schedule, "intervals", schedule)).intervals
 
     dim = 1 << n
     energies, vectors = np.linalg.eigh(full_hamiltonian(spec))

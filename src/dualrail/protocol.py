@@ -95,10 +95,8 @@ class Schedule:
 
     def __post_init__(self) -> None:
         intervals = np.asarray(self.intervals, dtype=float)
-        if intervals.ndim != 1 or intervals.size == 0:
-            raise ValueError("schedule needs a non-empty 1-d interval list")
-        if not np.all(np.isfinite(intervals) & (intervals > 0)):
-            raise ValueError("all intervals must be finite and strictly positive")
+        if intervals.ndim != 1 or intervals.size == 0 or not np.all(np.isfinite(intervals) & (intervals > 0)):
+            raise ValueError("a schedule is a non-empty 1-d list of finite positive intervals")
         object.__setattr__(self, "intervals", intervals)
 
     def __len__(self) -> int:
@@ -239,15 +237,12 @@ def run_schedule(
     """Alternate evolution and measurement for every interval of ``schedule``.
 
     ``schedule`` is anything with an ``intervals`` attribute (a Schedule) or a
-    plain sequence of finite positive times, which ``evolve`` checks.
+    plain sequence of finite positive times; ``Schedule`` checks either.
     ``noise`` damps the run; with unequal rates every record is the balanced
     input qubit's.
     """
-    intervals = np.asarray(getattr(schedule, "intervals", schedule), dtype=float)
-    if intervals.size == 0:
-        raise ValueError("schedule must contain at least one interval")
     state = init_state(dec, noise)
-    for tau in intervals:
+    for tau in Schedule(getattr(schedule, "intervals", schedule)).intervals:
         evolve(state, float(tau))
         measure(state)
     return state

@@ -8,11 +8,8 @@ the protocol (the receiver picks the next waiting time only after seeing a
 failure) and is fully deterministic, with grid ties broken toward smaller tau.
 
 The search window is default_window(N) = (0.05 T, 1.5 T) with
-T = chain_core.time_scale(N).  The grid step 0.05 is fixed; refinement stops
-at chain_core._REFINE_TOL.  Each refine decides its golden-section comparisons
-on a local Taylor model of the objective (``chain_core._TaylorBasis``, one per
-run) and evaluates the exact objective only where the model's error bound
-cannot decide, so the schedule is the one exact comparisons give.
+T = chain_core.time_scale(N), scanned at the fixed step 0.05 by one
+``chain_core.PhaseGrid``, which also finds and refines the grid's peaks.
 """
 
 from __future__ import annotations
@@ -22,8 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import protocol
-from .chain_core import (PhaseGrid, SpectralDecomposition, _golden_max, _phase_sum_objective, _TaylorBasis,
-                         time_scale)
+from .chain_core import PhaseGrid, SpectralDecomposition, require_int, time_scale
 from .protocol import DualRailState, NoiseParams, Schedule
 
 _GRID_STEP = 0.05
@@ -45,9 +41,7 @@ class ThresholdNotReached(RuntimeError):
 
 def uniform_schedule(n_sites: int, l_max: int) -> Schedule:
     """Equal intervals of one chain time scale T = ``time_scale(N)``."""
-    if l_max < 1:
-        raise ValueError(f"l_max must be >= 1, got {l_max}")
-    return Schedule(intervals=np.full(l_max, time_scale(n_sites)))
+    return Schedule(intervals=np.full(require_int(l_max, "l_max", 1), time_scale(n_sites)))
 
 
 def default_window(n_sites: int) -> tuple[float, float]:
@@ -56,61 +50,29 @@ def default_window(n_sites: int) -> tuple[float, float]:
 
 
 class _EndpointObjective:
-    """Per-run cache for the greedy objective over a fixed tau grid.
+    """Greedy's pick rule over one ``PhaseGrid`` of the window, planned once per run.
 
     The objective is exp(-2*gamma*tau) * |(F(tau) c)_N|^2; in the eigenbasis
     this is |w . exp(-i E tau)|^2 for w_k = v_k(N) * (V^T c)_k, up to a
     positive factor that moves no maximum, so the state's noiseless mode
     coefficients a and the receiver row alone give the weights w = v(N) * a.
-    The tau grid (G = 29N points) is planned once per run as one PhaseGrid,
-    which never holds a (G x modes) table: each scan is one matrix product over
-    O(N * sqrt(G)) cached phases below its FFT crossover and one O(G log G)
-    FFT above it.  The scan only picks candidates; each is refined on the exact
-    ``chain_core._phase_sum_objective``, so the grid's 1e-14-relative rounding
-    moves no schedule.  The refine's 13 x N Taylor basis is built once here,
-    for brackets of half-width one grid step.
+    The grid finds and refines the peaks; this class keeps those within 0.95
+    of the best grid value and returns the earliest refined tau within 1e-9
+    of the best refined value.
     """
 
     def __init__(self, dec: SpectralDecomposition, gamma: float):
-        self.window = default_window(dec.n_sites)
-        self.gamma = gamma
-        self.dec = dec
-        self.grid = PhaseGrid(dec.energies, *self.window, _GRID_STEP)
-        self._damp = np.exp(-2.0 * gamma * self.grid.times)
-        self._taylor = _TaylorBasis(dec.energies, _GRID_STEP)
+        self.grid = PhaseGrid(dec.energies, *default_window(dec.n_sites), _GRID_STEP)
+        self._decay = -2.0 * gamma
+        self._damp = np.exp(self._decay * self.grid.times)
 
     def best_tau(self, w: np.ndarray) -> float:
         obj = self._damp * np.abs(self.grid.sums(w)) ** 2
-        best_grid = float(np.max(obj))
-
-        # grid local maxima (and boundary points beating their neighbour)
-        # close enough to the best that refinement could promote them; a
-        # plateau counts at its first point, so ties go to the smaller tau
-        left = np.empty_like(obj)
-        right = np.empty_like(obj)
-        left[0], left[1:] = -np.inf, obj[:-1]
-        right[-1], right[:-1] = -np.inf, obj[1:]
-        is_peak = (obj > left) & (obj >= right)
-        candidates = np.nonzero(is_peak & (obj >= 0.95 * best_grid))[0]
-
-        decay = -2.0 * self.gamma
-        f = _phase_sum_objective(self.dec.energies, w, decay)
-        refined = []
-        for j in candidates:
-            tau_grid, val_grid = float(self.grid.times[j]), float(obj[j])
-            a = max(self.window[0], tau_grid - _GRID_STEP)
-            b = min(self.window[1], tau_grid + _GRID_STEP)
-            tau_ref, val_ref = _golden_max(f, a, b, self._taylor.model(w, decay, a, b))
-            # golden section assumes local unimodality; keep the raw grid
-            # point whenever refinement did not actually improve
-            if val_ref > val_grid:
-                refined.append((tau_ref, val_ref))
-            else:
-                refined.append((tau_grid, val_grid))
-
-        # smallest tau (candidates ascend) among values tied with the best (relative 1e-9)
-        best_val = max(v for _, v in refined)
-        return next(float(tau) for tau, val in refined if val >= best_val * (1.0 - 1e-9))
+        peaks = self.grid.peaks(obj)
+        candidates = peaks[obj[peaks] >= 0.95 * float(np.max(obj))]
+        refined = [self.grid.refine(w, self._decay, j, obj[j]) for j in candidates]
+        best_val = max(val for _, val in refined)
+        return next(tau for tau, val in refined if val >= best_val * (1.0 - 1e-9))
 
 
 def greedy_run(
@@ -135,8 +97,7 @@ def greedy_run(
     Raises ThresholdNotReached when ``p_target`` is given and the run stops
     above it.
     """
-    if l_max < 1:
-        raise ValueError(f"l_max must be >= 1, got {l_max}")
+    require_int(l_max, "l_max", 1)
     if p_target is not None and not 0.0 < p_target < 1.0:
         raise ValueError(f"p_target must be in (0, 1), got {p_target}")
 

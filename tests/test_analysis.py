@@ -1,6 +1,7 @@
 """Unit tests of unit conversions, power-law fits, and figure datasets."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,14 @@ class TestPowerLawFit:
         with pytest.raises(ValueError):
             analysis.fit_power_law([1.0, -2.0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf, 0.0])
+    def test_rejects_non_finite_or_non_positive_samples(self, bad):
+        # ln of inf or NaN would fit an all-NaN law; NaN also slips past a <= 0 test
+        assert_message(lambda: analysis.fit_power_law([1, 2, 3], [1, bad, 3]),
+                       f"power-law fit needs finite positive samples, got x[1] = 2.0, y[1] = {bad}")
+        assert_message(lambda: analysis.fit_power_law([1, bad, 3], [1, 2, 3]),
+                       f"power-law fit needs finite positive samples, got x[1] = {bad}, y[1] = 2.0")
+
     def test_peak_scaling_guards(self):
         with pytest.raises(ValueError, match="5 distinct"):
             analysis.fit_peak_scaling([20, 50, 100, 150])
@@ -135,6 +144,18 @@ class TestCrossingTimes:
     def test_ordering(self):
         times = analysis.failure_crossing_times(10, [0.1, 0.01])
         assert times[0.01] > times[0.1] > 0
+
+    @pytest.mark.parametrize("targets, bad", [([0.5, 2.0], [2.0]), ([0.1, math.nan], [math.nan]),
+                                              ([0.0, 0.1], [0.0]), ([True], [True])])
+    def test_rejects_targets_outside_unit_interval(self, monkeypatch, targets, bad):
+        # a target of 2.0 would read a crossing at the first measurement
+        monkeypatch.setattr(analysis, "greedy_run", None)  # checked before any run
+        with pytest.raises(ValueError, match=re.escape(f"in (0, 1), got {bad}")):
+            analysis.failure_crossing_times(10, targets)
+
+    def test_rejects_no_targets(self):
+        assert_message(lambda: analysis.failure_crossing_times(10, []),
+                       "need at least one failure target, got []")
 
     def test_single_run_consistency(self):
         # a crossing time never decreases when the target tightens

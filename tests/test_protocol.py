@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualrail import protocol
-from dualrail.chain_core import SpectralDecomposition, propagator_matrix
+from dualrail import noise, oracle, protocol
+from dualrail.chain_core import ChainSpec, SpectralDecomposition, propagator_matrix
 from dualrail.protocol import NoiseParams
 from dualrail.scheduler import Schedule
 
@@ -117,6 +117,17 @@ class TestRunSchedule:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite"):
                 protocol.run_schedule(dec, [bad, 1.0])
+
+    @pytest.mark.parametrize("bad", [[[1.0, 2.0]], np.array([[1.0], [2.0]]), "12"])
+    def test_malformed_interval_lists_are_value_errors(self, dec_cache, bad):
+        # a 2-d list, a column array and a string are no interval list, for the
+        # reduced protocol, its damped alias and the two-chain oracle alike
+        qubit = oracle.LogicalQubit(0.6, 0.8)
+        for run in (lambda: protocol.run_schedule(dec_cache(3), bad),
+                    lambda: noise.asymmetric_run(dec_cache(3), NoiseParams(0.01, 0.03), bad),
+                    lambda: oracle.dual_rail_protocol_full(ChainSpec(3), qubit, bad)):
+            with pytest.raises(ValueError, match="finite positive intervals"):
+                run()
 
     def test_schedule_is_the_intervals_waited(self, dec_cache):
         result = protocol.run_schedule(dec_cache(4), [2.0, 3.0])

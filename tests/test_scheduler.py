@@ -112,6 +112,15 @@ class TestGreedy:
         with pytest.raises(ValueError, match="l_max"):
             greedy_optimize(dec_cache(4), l_max=l_max)
 
+    @pytest.mark.parametrize("l_max", [2.5, 3.0, True, np.float64(2.0), "3"])
+    def test_rejects_non_integer_cap(self, dec_cache, l_max):
+        # 2.5 would make 3 measurements and True 1; a float or a bool is no count
+        for make in (lambda: greedy_run(dec_cache(4), l_max=l_max),
+                     lambda: greedy_optimize(dec_cache(4), l_max=l_max),
+                     lambda: uniform_schedule(4, l_max)):
+            with pytest.raises(ValueError, match="l_max must be an int >= 1"):
+                make()
+
     def test_raises_when_target_not_reached(self, dec_cache):
         with pytest.raises(ThresholdNotReached) as exc_info:
             greedy_run(dec_cache(10), p_target=1e-6, l_max=2)
