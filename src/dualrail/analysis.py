@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ._csvio import render_csv
-from .chain_core import ChainSpec, build_sector_hamiltonian, diagonalize, first_peak
+from .chain_core import ChainSpec, build_sector_hamiltonian, diagonalize, first_peak, require_int
 from .noise import NoiseParams, p_infinity_estimate, p_infinity_exact
 from .scheduler import greedy_run
 
@@ -104,7 +104,7 @@ def fit_peak_scaling(n_values: Sequence[int]) -> PowerLawFit:
     N <= 200 are pre-asymptotic: N = 20..200 gives 1.674 N^{-0.652}, while
     the square root of the peak over N = 200..1600 gives 1.332 N^{-0.332}.
     """
-    ns = sorted(set(int(n) for n in n_values))
+    ns = sorted(set(require_int(n, "n_sites", 2) for n in n_values))
     if len(ns) < 5:
         raise ValueError(f"need at least 5 distinct chain lengths, got {len(ns)}")
     if min(ns) < 20:
@@ -157,7 +157,7 @@ def fit_time_scaling(n_values: Sequence[int], p_values: Sequence[float]) -> Powe
     One incremental greedy run per chain length supplies the crossing times
     of every failure target.
     """
-    ns = sorted(set(int(n) for n in n_values))
+    ns = sorted(set(require_int(n, "n_sites", 2) for n in n_values))
     ps = sorted(set(float(p) for p in p_values), reverse=True)
     if len(ns) < 4:
         raise ValueError(f"need at least 4 chain lengths, got {len(ns)}")

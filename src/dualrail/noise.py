@@ -65,7 +65,8 @@ def p_infinity_exact(
     """Plateau of P(l) under damping with greedy scheduling.
 
     Runs the exact damped protocol until the joint per-step success falls
-    below ``stop_tol``, at most 100,000 steps; the missed tail of successes is
+    below ``stop_tol`` (``greedy_run``'s ``step_success_tol``, so in (0, 1)),
+    at most 100,000 steps; the missed tail of successes is
     O(stop_tol / (2 Gamma T)), T = ``time_scale(N)``, for the smaller rate
     Gamma.  With unequal rates it is the balanced qubit's plateau under the
     noiseless greedy intervals, as in ``greedy_run``.

@@ -15,6 +15,12 @@ coefficients a = V^T c of the eigenbasis V of the chain, at O(N) per step:
     evolve:   a <- exp(-i E tau) a
     measure:  c_N = u . a with u = v(N), the receiver row of V, then a <- a - c_N u
 
+``init_state`` puts the run's constants on the state once: the rates -i E,
+the receiver row u as a complex vector and the damping weight W(0).  A step
+then does only its O(N) work: an interval equal to the one before reuses its
+phase vector exp(-i E tau) (a uniform schedule computes it once), and
+``measure`` reads the weight W(t) that ``evolve`` last computed.
+
 Amplitude damping (``NoiseParams``) is one scalar weight on top.  In the
 no-jump picture rail r's component decays as exp(-gamma_r t) while the two
 rails keep the one shared vector c, so a step's joint success is
@@ -138,6 +144,11 @@ class DualRailState:
     ``coefficients`` holds a = V^T c_0, where c_0 is the site vector the run
     would have without damping; ``noise`` weights it by ``success_weight``,
     so ``norm_sq()`` = ||c||^2 = W(t) ||a||^2.
+
+    Built only by ``init_state``, which sets the per-run constants ``_rates``
+    (-i E) and ``_receiver`` (v(N) as complex) and the weight ``_weight`` =
+    W(time), which ``evolve`` keeps current.  ``_phases`` is exp(-i E tau) of
+    the last interval ``_tau``, reused while the intervals repeat.
     """
 
     dec: SpectralDecomposition
@@ -148,6 +159,11 @@ class DualRailState:
     loss: float = 0.0
     time: float = 0.0
     _pending_interval: float = 0.0
+    _rates: Optional[np.ndarray] = None
+    _receiver: Optional[np.ndarray] = None
+    _weight: float = 1.0
+    _tau: float = 0.0
+    _phases: Optional[np.ndarray] = None
 
     @property
     def p_trajectory(self) -> np.ndarray:
@@ -170,7 +186,7 @@ class DualRailState:
 
     def norm_sq(self) -> float:
         a = self.coefficients
-        return self.noise.success_weight(self.time) * float(np.vdot(a, a).real)
+        return self._weight * float(np.vdot(a, a).real)
 
 
 def init_state(dec: SpectralDecomposition, noise: NoiseParams = NoiseParams(0.0)) -> DualRailState:
@@ -182,7 +198,9 @@ def init_state(dec: SpectralDecomposition, noise: NoiseParams = NoiseParams(0.0)
     """
     if dec.n_sites < 2:
         raise ValueError(f"n_sites must be >= 2, got {dec.n_sites}")
-    return DualRailState(dec=dec, coefficients=dec.sender.astype(complex), noise=noise)
+    return DualRailState(dec=dec, coefficients=dec.sender.astype(complex), noise=noise,
+                         _rates=-1j * dec.energies, _receiver=dec.receiver.astype(complex),
+                         _weight=noise.success_weight(0.0))
 
 
 def evolve(state: DualRailState, tau: float) -> DualRailState:
@@ -190,18 +208,25 @@ def evolve(state: DualRailState, tau: float) -> DualRailState:
 
     The squared-norm deficit of the damping, ||a||^2 (W(t) - W(t + tau)),
     goes into ``state.loss`` (jump probability); without damping the
-    evolution is norm preserving.
+    evolution is norm preserving.  The phases of an interval equal to the
+    last one are reused, and a rejected interval leaves the state as it was.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"evolution interval must be finite and positive, got {tau}")
-    if not math.isfinite(state.time + tau):
+    time = state.time + tau
+    if not math.isfinite(time):
         raise ValueError(f"the run's clock overflows at t = {state.time:g} + {tau:g}")
-    require_finite_phases(state.dec.energies, tau)
-    a = state.coefficients
-    weight = state.noise.success_weight
-    state.loss += float(np.vdot(a, a).real) * (weight(state.time) - weight(state.time + tau))
-    state.coefficients *= np.exp(-1j * state.dec.energies * tau)
-    state.time += tau
+    if tau != state._tau:
+        require_finite_phases(state.dec.energies, tau)
+        state._phases = np.exp(state._rates * tau)
+        state._tau = tau
+    weight = state.noise.success_weight(time)
+    if weight != state._weight:
+        a = state.coefficients
+        state.loss += float(np.vdot(a, a).real) * (state._weight - weight)
+        state._weight = weight
+    state.coefficients *= state._phases
+    state.time = time
     state._pending_interval += tau
     return state
 
@@ -212,10 +237,10 @@ def measure(state: DualRailState) -> tuple[float, DualRailState]:
     Returns the joint success probability of this step and mutates the state:
     c_N is projected out and a MeasurementRecord is appended.
     """
-    u = state.dec.receiver
+    u = state._receiver
     c_n = complex(u @ state.coefficients)
     state.coefficients -= c_n * u
-    step_success = state.noise.success_weight(state.time) * abs(c_n) ** 2
+    step_success = state._weight * abs(c_n) ** 2
     state.total_success += step_success
     record = MeasurementRecord(
         index=len(state.records) + 1,

@@ -41,7 +41,8 @@ class ThresholdNotReached(RuntimeError):
 
 def uniform_schedule(n_sites: int, l_max: int) -> Schedule:
     """Equal intervals of one chain time scale T = ``time_scale(N)``."""
-    return Schedule(intervals=np.full(require_int(l_max, "l_max", 1), time_scale(n_sites)))
+    t = time_scale(require_int(n_sites, "n_sites", 2))
+    return Schedule(intervals=np.full(require_int(l_max, "l_max", 1), t))
 
 
 def default_window(n_sites: int) -> tuple[float, float]:
@@ -88,18 +89,19 @@ def greedy_run(
     The cap ``l_max`` is required, so every run ends: a damped P(l) can
     stall above any ``p_target``.  Two optional conditions stop it earlier:
     joint failure below ``p_target``, or last joint step success below
-    ``step_success_tol`` (plateau detection for damped runs).  ``noise``
-    damps the run at any rates.  Equal rates gamma weight the objective by
-    exp(-2*gamma*tau), the cost of waiting for every input qubit; unequal
-    rates have no qubit-independent weight, so their intervals are the
-    noiseless ``greedy_optimize`` ones.
+    ``step_success_tol`` (plateau detection for damped runs); each must be
+    in (0, 1).  ``noise`` damps the run at any rates.  Equal rates gamma
+    weight the objective by exp(-2*gamma*tau), the cost of waiting for every
+    input qubit; unequal rates have no qubit-independent weight, so their
+    intervals are the noiseless ``greedy_optimize`` ones.
 
     Raises ThresholdNotReached when ``p_target`` is given and the run stops
     above it.
     """
     require_int(l_max, "l_max", 1)
-    if p_target is not None and not 0.0 < p_target < 1.0:
-        raise ValueError(f"p_target must be in (0, 1), got {p_target}")
+    for name, value in (("p_target", p_target), ("step_success_tol", step_success_tol)):
+        if value is not None and not 0.0 < value < 1.0:
+            raise ValueError(f"{name} must be in (0, 1), got {value}")
 
     objective = _EndpointObjective(dec, noise.gamma_1 if noise.symmetric else 0.0)
     state = protocol.init_state(dec, noise)

@@ -120,6 +120,19 @@ class TestPowerLawFit:
         with pytest.raises(ValueError, match="N >= 20"):
             analysis.fit_peak_scaling([5, 20, 50, 100, 150])
 
+    @pytest.mark.parametrize("bad", [20.9, 25.0, True, "30"])
+    def test_fits_reject_non_integer_chain_lengths(self, monkeypatch, bad):
+        # int(20.9) fitted N = 20, a length nobody asked for; checked before any run
+        def no_run(*args, **kwargs):
+            raise AssertionError("a chain was solved before validation")
+
+        monkeypatch.setattr(analysis, "first_peak", no_run)
+        monkeypatch.setattr(analysis, "greedy_run", no_run)
+        with pytest.raises(ValueError, match="n_sites must be an int >= 2"):
+            analysis.fit_peak_scaling([bad, 30, 40, 50, 60])
+        with pytest.raises(ValueError, match="n_sites must be an int >= 2"):
+            analysis.fit_time_scaling([bad, 15, 20, 30], [0.1, 0.01, 0.001])
+
     def test_time_scaling_guards(self, monkeypatch):
         with pytest.raises(ValueError, match="4 chain lengths"):
             analysis.fit_time_scaling([10, 20, 30], [0.1, 0.001])

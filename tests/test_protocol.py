@@ -1,5 +1,6 @@
 """Unit tests of the reduced protocol: measurement bookkeeping and invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from dualrail import noise, oracle, protocol
 from dualrail.chain_core import ChainSpec, SpectralDecomposition, propagator_matrix
 from dualrail.protocol import NoiseParams
-from dualrail.scheduler import Schedule
+from dualrail.scheduler import Schedule, uniform_schedule
 
 
 class TestInitState:
@@ -174,3 +175,114 @@ class TestEngineProperties:
         p = np.array([r.joint_failure for r in state.records])
         assert np.all(np.diff(p) <= 0.0)
         np.testing.assert_allclose(p, site_basis_failures(dec, taus, noise), rtol=0, atol=1e-12)
+
+
+MEASURE = None  # an op of ``parent_steps``: measure; any other op is an interval to evolve
+
+
+def parent_steps(dec, ops, noise):
+    """The engine's evolve and measure expressions before the state held its per-run constants.
+
+    Returns every record field, the final coefficients, ``loss``,
+    ``total_success`` and ``norm_sq()``, all as ``float.hex``.
+    """
+    a = dec.sender.astype(complex)
+    weight = noise.success_weight
+    time = pending = total = loss = 0.0
+    records = []
+    for op in ops:
+        if op is MEASURE:
+            u = dec.receiver
+            c_n = complex(u @ a)
+            a -= c_n * u
+            step = weight(time) * abs(c_n) ** 2
+            total += step
+            records.append((len(records) + 1, pending, time, step, 1.0 - total))
+            pending = 0.0
+        else:
+            tau = op
+            loss += float(np.vdot(a, a).real) * (weight(time) - weight(time + tau))
+            a *= np.exp(-1j * dec.energies * tau)
+            time += tau
+            pending += tau
+    norm_sq = weight(time) * float(np.vdot(a, a).real)
+    return step_bits(records, a, loss, total, norm_sq)
+
+
+def step_bits(records, coefficients, loss, total, norm_sq):
+    fields = [(index, *map(float.hex, rest)) for index, *rest in records]
+    return fields, coefficients.tobytes(), float.hex(loss), float.hex(total), float.hex(norm_sq)
+
+
+def engine_steps(dec, ops, noise):
+    state = protocol.init_state(dec, noise)
+    for op in ops:
+        if op is MEASURE:
+            protocol.measure(state)
+        else:
+            protocol.evolve(state, op)
+    return state_bits(state)
+
+
+def state_bits(state):
+    records = [dataclasses.astuple(r) for r in state.records]
+    return step_bits(records, state.coefficients, state.loss, state.total_success, state.norm_sq())
+
+
+def pin_intervals(n, kind):
+    rng = np.random.default_rng(n)
+    if kind == "uniform":
+        return [float(t) for t in uniform_schedule(n, 12).intervals]
+    if kind == "random":
+        return [float(t) for t in rng.uniform(0.25 * n, 0.75 * n, size=12)]
+    # a repeated interval, a new one, then the first again
+    first, second = (float(t) for t in rng.uniform(0.25 * n, 0.75 * n, size=2))
+    return [first] * 5 + [second] * 4 + [first] * 3
+
+
+PIN_NOISE = [NoiseParams(0.0), NoiseParams(0.01), NoiseParams(0.01, 0.03)]
+
+
+class TestStepBits:
+    """Reusing a phase vector, the complex receiver row and the kept weight change no bit."""
+
+    @pytest.mark.parametrize("noise", PIN_NOISE, ids=["noiseless", "gamma", "rates"])
+    @pytest.mark.parametrize("kind", ["uniform", "random", "repeat-then-new"])
+    @pytest.mark.parametrize("n", [2, 7, 57, 300])
+    def test_run_schedule_keeps_the_parent_bits(self, dec_cache, n, kind, noise):
+        dec, taus = dec_cache(n), pin_intervals(n, kind)
+        ops = [op for tau in taus for op in (tau, MEASURE)]
+        assert state_bits(protocol.run_schedule(dec, taus, noise)) == parent_steps(dec, ops, noise)
+
+    @pytest.mark.parametrize("noise", PIN_NOISE, ids=["noiseless", "gamma", "rates"])
+    @pytest.mark.parametrize("n", [2, 7, 57, 300])
+    def test_two_evolves_before_a_measure(self, dec_cache, n, noise):
+        t1, t2 = 0.3 * n, 0.45 * n
+        ops = [t1, t1, MEASURE, t2, MEASURE, t2, t1, MEASURE, t1, MEASURE, MEASURE, t2, t2, MEASURE]
+        assert engine_steps(dec_cache(n), ops, noise) == parent_steps(dec_cache(n), ops, noise)
+
+    @pytest.mark.parametrize("noise", PIN_NOISE, ids=["noiseless", "gamma", "rates"])
+    def test_rejected_interval_after_a_repeat_changes_nothing(self, dec_cache, noise):
+        # E_max = 4 at N = 2: at t = 8e307, after a repeated 4e307, 5e307
+        # overflows the phases but not the clock, and at t = 1.6e308 a repeated
+        # 4e307 overflows the clock; both leave the state and its kept phases
+        # as they were
+        dec = dec_cache(2)
+        state = protocol.init_state(dec, noise)
+
+        def rejected(tau):
+            before = state_bits(state), state.time, state._pending_interval
+            with pytest.raises(ValueError, match="overflow"):
+                protocol.evolve(state, tau)
+            assert (state_bits(state), state.time, state._pending_interval) == before
+
+        protocol.evolve(state, 4e307)
+        protocol.evolve(state, 4e307)
+        rejected(5e307)
+        protocol.measure(state)
+        protocol.evolve(state, 4e307)
+        protocol.evolve(state, 4e307)
+        rejected(4e307)
+        protocol.measure(state)
+        ops = [4e307, 4e307, MEASURE, 4e307, 4e307, MEASURE]
+        assert state_bits(state) == parent_steps(dec, ops, noise)

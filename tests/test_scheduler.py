@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualrail import chain_core, protocol
+from dualrail.noise import p_infinity_exact
 from dualrail.protocol import NoiseParams
 from dualrail.scheduler import (
     Schedule,
@@ -57,6 +58,12 @@ class TestSchedule:
         np.testing.assert_allclose(sched.intervals, [12.0] * 5)
         with pytest.raises(ValueError):
             uniform_schedule(12, 0)
+
+    @pytest.mark.parametrize("n_sites", [2.5, 3.0, True, 1, np.float64(4.0), "3"])
+    def test_uniform_schedule_rejects_non_chain_lengths(self, n_sites):
+        # 2.5 gave three intervals of 2.5 and True two of 1.0: schedules for no chain
+        with pytest.raises(ValueError, match="n_sites must be an int >= 2"):
+            uniform_schedule(n_sites, 3)
 
 
 class TestGreedy:
@@ -120,6 +127,15 @@ class TestGreedy:
                      lambda: uniform_schedule(4, l_max)):
             with pytest.raises(ValueError, match="l_max must be an int >= 1"):
                 make()
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, 1.0, math.inf, True])
+    def test_rejects_step_success_tol_outside_unit_interval(self, dec_cache, tol):
+        # NaN, -1 and 0 never stopped a run (all l_max measurements), inf
+        # stopped it after one; the rule is p_target's
+        with pytest.raises(ValueError, match=r"^step_success_tol must be in \(0, 1\), got "):
+            greedy_run(dec_cache(4), l_max=50, step_success_tol=tol, noise=NoiseParams(0.01))
+        with pytest.raises(ValueError, match="step_success_tol"):
+            p_infinity_exact(dec_cache(4), NoiseParams(0.01), stop_tol=tol)
 
     def test_raises_when_target_not_reached(self, dec_cache):
         with pytest.raises(ThresholdNotReached) as exc_info:
