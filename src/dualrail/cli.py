@@ -35,8 +35,9 @@ EXIT_THRESHOLD = 3
 EXIT_CONFORMANCE = 4
 
 # Peak memory of one output row, run through rendered CSV, as peak-RSS growth in a fresh
-# CPython 3.11 (x86-64) process at 10^6 rows, ns columns on: 368 B per `amplitude` grid
-# point and 788 B per damped uniform `protocol` measurement, rounded up.
+# CPython 3.11 (x86-64) process, ns columns on: 368 B per `amplitude` grid point (at 10^6
+# rows) and 751 B per damped uniform `protocol` measurement (slope from 10^5 to 4 x 10^5
+# rows), rounded up.
 _AMPLITUDE_POINT_BYTES = 400
 _MEASUREMENT_BYTES = 850
 

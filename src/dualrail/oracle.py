@@ -26,7 +26,7 @@ import numpy as np
 
 from . import chain_core, protocol
 from .analysis import gamma_ns_to_natural
-from .chain_core import ChainSpec, build_sector_hamiltonian
+from .chain_core import ChainSpec, build_sector_hamiltonian, require_finite_phases, require_int
 from .noise import NoiseParams
 from .scheduler import greedy_optimize
 
@@ -52,8 +52,16 @@ class LogicalQubit:
 
     def __post_init__(self) -> None:
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
             raise ValueError(f"qubit not normalized: |a|^2+|b|^2 = {norm}")
+
+
+def _require_site(site, n_sites: int) -> int:
+    """``site`` as an int in 1..``n_sites``; ValueError otherwise (bools and floats are not sites)."""
+    site = require_int(site, "site", 1)
+    if site > n_sites:
+        raise ValueError(f"site must be in 1..{n_sites}, got {site}")
+    return site
 
 
 def excitation_index(n_sites: int, site: int) -> int:
@@ -104,11 +112,12 @@ def single_excitation_block(h_full: np.ndarray, n_sites: int) -> np.ndarray:
 
 
 def full_transition_amplitude(spec: ChainSpec, r: int, s: int, t: float) -> complex:
-    """<r| exp(-i H t) |s> from the dense 2^N eigendecomposition."""
+    """<r| exp(-i H t) |s> from the dense 2^N eigendecomposition; ValueError unless E*t is finite."""
     n = spec.n_sites
-    if not (1 <= r <= n and 1 <= s <= n):
-        raise ValueError(f"site indices {r},{s} outside 1..{n}")
-    return _eigen_amplitude(np.linalg.eigh(full_hamiltonian(spec)), n, r, s, t)
+    r, s = _require_site(r, n), _require_site(s, n)
+    eigensystem = np.linalg.eigh(full_hamiltonian(spec))
+    require_finite_phases(eigensystem[0], t)
+    return _eigen_amplitude(eigensystem, n, r, s, t)
 
 
 def _eigen_amplitude(eigensystem, n_sites: int, r: int, s: int, t: float) -> complex:
@@ -276,8 +285,7 @@ def dephasing_free_check(spec: ChainSpec, m: int) -> tuple[bool, dict]:
     n = spec.n_sites
     if n > MAX_DUAL_RAIL_SITES:
         raise ValueError(f"dual-rail oracle capped at {MAX_DUAL_RAIL_SITES} sites, got {n}")
-    if not 1 <= m <= n:
-        raise ValueError(f"site {m} outside 1..{n}")
+    m = _require_site(m, n)
     idx = excitation_index(n, m)
     z = _site_sz_values(n)
     table = {}

@@ -15,11 +15,11 @@ coefficients a = V^T c of the eigenbasis V of the chain, at O(N) per step:
     evolve:   a <- exp(-i E tau) a
     measure:  c_N = u . a with u = v(N), the receiver row of V, then a <- a - c_N u
 
-``init_state`` puts the run's constants on the state once: the rates -i E,
-the receiver row u as a complex vector and the damping weight W(0).  A step
-then does only its O(N) work: an interval equal to the one before reuses its
-phase vector exp(-i E tau) (a uniform schedule computes it once), and
-``measure`` reads the weight W(t) that ``evolve`` last computed.
+A ``DualRailState`` holds the run's constants from its construction: the
+rates -i E, the receiver row u as a complex vector and the damping weight
+W(0).  A step then does only its O(N) work: an interval equal to the one
+before reuses its phase vector exp(-i E tau) (a uniform schedule computes it
+once), and ``measure`` reads the weight W(t) that ``evolve`` last computed.
 
 Amplitude damping (``NoiseParams``) is one scalar weight on top.  In the
 no-jump picture rail r's component decays as exp(-gamma_r t) while the two
@@ -43,8 +43,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -122,8 +122,7 @@ class Schedule:
         return cls(intervals=[typed(t, float, "intervals entry") for t in intervals])
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(NamedTuple):
     """Outcome bookkeeping of one end-point measurement.
 
     ``step_success`` is the joint probability that this measurement succeeds
@@ -137,33 +136,33 @@ class MeasurementRecord:
     joint_failure: float
 
 
-@dataclass
 class DualRailState:
-    """Noiseless mode coefficients of the failure branch plus bookkeeping.
+    """Failure branch of one run: noiseless mode coefficients plus bookkeeping.
 
-    ``coefficients`` holds a = V^T c_0, where c_0 is the site vector the run
-    would have without damping; ``noise`` weights it by ``success_weight``,
-    so ``norm_sq()`` = ||c||^2 = W(t) ||a||^2.
+    A new state has the excitation at site 1 (the unit vector e_1 stands for
+    the excitation both rails share; the logical amplitudes never enter), so
+    ``coefficients`` starts as the sender row v(1) of V.  It holds a = V^T c_0,
+    where c_0 is the site vector the run would have without damping; ``noise``
+    weights it by ``success_weight``, so ``norm_sq()`` = ||c||^2 = W(t) ||a||^2.
 
-    Built only by ``init_state``, which sets the per-run constants ``_rates``
-    (-i E) and ``_receiver`` (v(N) as complex) and the weight ``_weight`` =
-    W(time), which ``evolve`` keeps current.  ``_phases`` is exp(-i E tau) of
-    the last interval ``_tau``, reused while the intervals repeat.
+    The run's constants are ``_rates`` (-i E) and ``_receiver`` (v(N) as
+    complex); ``evolve`` keeps the weight ``_weight`` = W(time) current and
+    reuses ``_phases`` = exp(-i E tau) while the interval ``_tau`` repeats.
     """
 
-    dec: SpectralDecomposition
-    coefficients: np.ndarray
-    noise: NoiseParams = NoiseParams(0.0)
-    records: list = field(default_factory=list)
-    total_success: float = 0.0
-    loss: float = 0.0
-    time: float = 0.0
-    _pending_interval: float = 0.0
-    _rates: Optional[np.ndarray] = None
-    _receiver: Optional[np.ndarray] = None
-    _weight: float = 1.0
-    _tau: float = 0.0
-    _phases: Optional[np.ndarray] = None
+    def __init__(self, dec: SpectralDecomposition, noise: NoiseParams = NoiseParams(0.0)):
+        if dec.n_sites < 2:
+            raise ValueError(f"n_sites must be >= 2, got {dec.n_sites}")
+        self.dec = dec
+        self.noise = noise
+        self.coefficients = dec.sender.astype(complex)
+        self._rates = -1j * dec.energies
+        self._receiver = dec.receiver.astype(complex)
+        self._weight = noise.success_weight(0.0)
+        self.records: list = []
+        self.total_success = self.loss = self.time = 0.0
+        self._pending_interval = self._tau = 0.0
+        self._phases: Optional[np.ndarray] = None
 
     @property
     def p_trajectory(self) -> np.ndarray:
@@ -189,21 +188,7 @@ class DualRailState:
         return self._weight * float(np.vdot(a, a).real)
 
 
-def init_state(dec: SpectralDecomposition, noise: NoiseParams = NoiseParams(0.0)) -> DualRailState:
-    """Excitation at site 1, nothing measured yet.
-
-    The unit vector e_1 stands for the excitation shared by both rails; the
-    logical amplitudes never enter because the reduced dynamics is identical
-    for every input qubit.  Its mode coefficients are the sender row v(1) of V.
-    """
-    if dec.n_sites < 2:
-        raise ValueError(f"n_sites must be >= 2, got {dec.n_sites}")
-    return DualRailState(dec=dec, coefficients=dec.sender.astype(complex), noise=noise,
-                         _rates=-1j * dec.energies, _receiver=dec.receiver.astype(complex),
-                         _weight=noise.success_weight(0.0))
-
-
-def evolve(state: DualRailState, tau: float) -> DualRailState:
+def evolve(state: DualRailState, tau: float) -> None:
     """Conditional evolution c <- F(tau) c under the damping weight, as a <- exp(-i E tau) a.
 
     The squared-norm deficit of the damping, ||a||^2 (W(t) - W(t + tau)),
@@ -228,30 +213,24 @@ def evolve(state: DualRailState, tau: float) -> DualRailState:
     state.coefficients *= state._phases
     state.time = time
     state._pending_interval += tau
-    return state
 
 
-def measure(state: DualRailState) -> tuple[float, DualRailState]:
+def measure(state: DualRailState) -> MeasurementRecord:
     """Projective end-point measurement; failure branch kept unnormalized.
 
-    Returns the joint success probability of this step and mutates the state:
-    c_N is projected out and a MeasurementRecord is appended.
+    Projects c_N out of the state and returns the MeasurementRecord it
+    appends, whose ``step_success`` is the joint success of this step.
     """
     u = state._receiver
     c_n = complex(u @ state.coefficients)
     state.coefficients -= c_n * u
     step_success = state._weight * abs(c_n) ** 2
     state.total_success += step_success
-    record = MeasurementRecord(
-        index=len(state.records) + 1,
-        interval=state._pending_interval,
-        absolute_time=state.time,
-        step_success=step_success,
-        joint_failure=1.0 - state.total_success,
-    )
+    record = MeasurementRecord(len(state.records) + 1, state._pending_interval, state.time,
+                               step_success, 1.0 - state.total_success)
     state.records.append(record)
     state._pending_interval = 0.0
-    return step_success, state
+    return record
 
 
 def run_schedule(
@@ -266,7 +245,7 @@ def run_schedule(
     ``noise`` damps the run; with unequal rates every record is the balanced
     input qubit's.
     """
-    state = init_state(dec, noise)
+    state = DualRailState(dec, noise)
     for tau in Schedule(getattr(schedule, "intervals", schedule)).intervals:
         evolve(state, float(tau))
         measure(state)

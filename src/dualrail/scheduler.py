@@ -104,19 +104,17 @@ def greedy_run(
             raise ValueError(f"{name} must be in (0, 1), got {value}")
 
     objective = _EndpointObjective(dec, noise.gamma_1 if noise.symmetric else 0.0)
-    state = protocol.init_state(dec, noise)
+    state = DualRailState(dec, noise)
     while len(state.records) < l_max:
         protocol.evolve(state, objective.best_tau(dec.receiver * state.coefficients))
-        protocol.measure(state)
-        rec = state.records[-1]
+        rec = protocol.measure(state)
         if p_target is not None and rec.joint_failure <= p_target:
             break
         if step_success_tol is not None and rec.step_success < step_success_tol:
             break
 
-    last = state.records[-1]
-    if p_target is not None and last.joint_failure > p_target:
-        raise ThresholdNotReached(p_target, last.index, last.joint_failure, last.absolute_time)
+    if p_target is not None and rec.joint_failure > p_target:
+        raise ThresholdNotReached(p_target, rec.index, rec.joint_failure, rec.absolute_time)
     return state
 
 

@@ -137,7 +137,7 @@ class TestDiagonalize:
             amplitude = transition_amplitude(d, n, 1, t)
             grid = PhaseGrid(d.energies, 0.05 * n, 1.5 * n, 0.05)
             return (
-                [[float.hex(float(x)) for r in run.records for x in dataclasses.astuple(r)]
+                [[float.hex(float(x)) for r in run.records for x in tuple(r)]
                  for run in runs],
                 [float.hex(x) for x in (*first_peak(d), amplitude.real, amplitude.imag)],
                 propagator_matrix(d, t).tobytes(),

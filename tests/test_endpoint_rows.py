@@ -6,8 +6,6 @@ every run that needs only those rows.  A path that slices ``modes`` itself
 fails here.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -48,7 +46,7 @@ def test_unreadable_modes_raise(dec_cache):
 
 
 def record_hexes(run):
-    return ([float.hex(float(x)) for r in run.records for x in dataclasses.astuple(r)]
+    return ([float.hex(float(x)) for r in run.records for x in tuple(r)]
             + [float.hex(run.loss), float.hex(run.total_success)])
 
 

@@ -1,7 +1,6 @@
 """Unit tests of amplitude damping: no-jump evolution, plateaus, asymmetry."""
 
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -141,7 +140,7 @@ class TestAsymmetricRun:
         replay = protocol.run_schedule(dec, greedy_optimize(dec, 8), noise)
 
         def hexes(state):
-            fields = [x for r in state.records for x in astuple(r)]
+            fields = [x for r in state.records for x in tuple(r)]
             return [float.hex(float(x)) for x in (*fields, state.total_success, state.loss)]
 
         assert hexes(run) == hexes(replay)

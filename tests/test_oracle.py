@@ -104,6 +104,36 @@ class TestLogicalQubit:
         with pytest.raises(ValueError, match="normalized"):
             oracle.LogicalQubit(1.0, 1.0)
 
+    def test_nan_norm_rejected(self):
+        with pytest.raises(ValueError, match="normalized"):
+            oracle.LogicalQubit(math.nan, 0.0)
+
+
+class TestPublicInputChecks:
+    """The oracle's entry points reject bad sites and times as ``chain_core`` does."""
+
+    @pytest.mark.parametrize("t", [math.nan, 1e308], ids=["nan", "overflow"])
+    def test_amplitude_rejects_non_finite_phases(self, t):
+        with pytest.raises(ValueError, match="not finite"):
+            oracle.full_transition_amplitude(ChainSpec(4), 1, 4, t)
+
+    @pytest.mark.parametrize("site", [True, 1.0, 0, 5], ids=["bool", "float", "zero", "past-end"])
+    def test_amplitude_rejects_bad_sites(self, site):
+        with pytest.raises(ValueError, match="^site must be"):
+            oracle.full_transition_amplitude(ChainSpec(4), site, 2, 1.0)
+        with pytest.raises(ValueError, match="^site must be"):
+            oracle.full_transition_amplitude(ChainSpec(4), 2, site, 1.0)
+
+    @pytest.mark.parametrize("site", [True, 2.0, 0, 5], ids=["bool", "float", "zero", "past-end"])
+    def test_dephasing_check_rejects_bad_sites(self, site):
+        with pytest.raises(ValueError, match="^site must be"):
+            oracle.dephasing_free_check(ChainSpec(4), site)
+
+    def test_numpy_integer_sites_accepted(self):
+        exact = oracle.full_transition_amplitude(ChainSpec(4), 1, 4, 2.0)
+        assert oracle.full_transition_amplitude(ChainSpec(4), np.int64(1), np.int32(4), 2.0) == exact
+        assert oracle.dephasing_free_check(ChainSpec(4), np.int64(2)) == oracle.dephasing_free_check(ChainSpec(4), 2)
+
 
 class TestDualRailProtocolFull:
     def test_two_site_perfect_transfer(self):

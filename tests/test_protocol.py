@@ -1,6 +1,6 @@
 """Unit tests of the reduced protocol: measurement bookkeeping and invariants."""
 
-import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -17,7 +17,7 @@ from dualrail.scheduler import Schedule, uniform_schedule
 class TestInitState:
     def test_excitation_at_sender(self, dec_cache):
         dec = dec_cache(5)
-        state = protocol.init_state(dec)
+        state = protocol.DualRailState(dec)
         np.testing.assert_array_equal(state.coefficients, dec.sender)
         assert state.total_success == 0.0
         assert state.loss == 0.0
@@ -26,11 +26,14 @@ class TestInitState:
     def test_rejects_single_site(self):
         one_site = SpectralDecomposition(energies=np.zeros(1), modes=np.ones((1, 1)),
                                          sender=np.ones(1), receiver=np.ones(1))
-        with pytest.raises(ValueError, match="n_sites"):
-            protocol.init_state(one_site)
+        with pytest.raises(ValueError, match="^n_sites must be >= 2, got 1$"):
+            protocol.DualRailState(one_site)
+
+    def test_constructor_takes_only_the_spectrum_and_the_noise(self):
+        assert list(inspect.signature(protocol.DualRailState).parameters) == ["dec", "noise"]
 
     def test_views_before_any_measurement(self, dec_cache):
-        state = protocol.init_state(dec_cache(4))
+        state = protocol.DualRailState(dec_cache(4))
         assert state.p_trajectory.size == 0
         for view in ("schedule", "min_worst_case_fidelity"):
             with pytest.raises(ValueError, match="^no measurement recorded yet$"):
@@ -39,27 +42,36 @@ class TestInitState:
     @pytest.mark.parametrize("gamma", [-0.05, math.nan, math.inf])
     def test_rejects_bad_damping_rate(self, dec_cache, gamma):
         with pytest.raises(ValueError, match="damping rate"):
-            protocol.init_state(dec_cache(4), NoiseParams(gamma))
+            protocol.DualRailState(dec_cache(4), NoiseParams(gamma))
 
 
 class TestEvolveMeasure:
     def test_two_site_single_shot(self, dec_cache):
-        state = protocol.init_state(dec_cache(2))
+        state = protocol.DualRailState(dec_cache(2))
         protocol.evolve(state, math.pi / 4)
-        step, _ = protocol.measure(state)
+        step = protocol.measure(state).step_success
         assert step == pytest.approx(1.0, abs=1e-12)
         assert state.records[-1].joint_failure == pytest.approx(0.0, abs=1e-12)
         assert state.norm_sq() == pytest.approx(0.0, abs=1e-12)
 
+    def test_measure_returns_the_record_it_appends(self, dec_cache):
+        state = protocol.DualRailState(dec_cache(4))
+        assert protocol.evolve(state, 1.0) is None
+        record = protocol.measure(state)
+        assert record is state.records[-1]
+        assert record._fields == ("index", "interval", "absolute_time", "step_success", "joint_failure")
+        with pytest.raises(AttributeError):
+            record.step_success = 0.0
+
     def test_rejects_nonpositive_interval(self, dec_cache):
-        state = protocol.init_state(dec_cache(3))
+        state = protocol.DualRailState(dec_cache(3))
         with pytest.raises(ValueError, match="interval"):
             protocol.evolve(state, 0.0)
 
     def test_rejects_overflowing_phase_or_clock(self, dec_cache):
         # E_max = 4 at N = 2: 4 * 1e308 overflows, 4 * 4e307 does not, but five
         # such intervals overflow the clock; the state is left as it was
-        state = protocol.init_state(dec_cache(2))
+        state = protocol.DualRailState(dec_cache(2))
         with pytest.raises(ValueError, match="overflow"):
             protocol.evolve(state, 1e308)
         for _ in range(4):
@@ -71,7 +83,7 @@ class TestEvolveMeasure:
 
     def test_records_accumulate_intervals(self, dec_cache):
         dec = dec_cache(4)
-        state = protocol.init_state(dec)
+        state = protocol.DualRailState(dec)
         protocol.evolve(state, 1.0)
         protocol.evolve(state, 0.5)  # two evolutions, one measurement
         protocol.measure(state)
@@ -82,7 +94,7 @@ class TestEvolveMeasure:
 
     def test_probability_conservation_noiseless(self, dec_cache):
         dec = dec_cache(6)
-        state = protocol.init_state(dec)
+        state = protocol.DualRailState(dec)
         for tau in (2.1, 3.3, 1.7, 4.0):
             protocol.evolve(state, tau)
             protocol.measure(state)
@@ -90,9 +102,9 @@ class TestEvolveMeasure:
 
     def test_failure_branch_not_renormalized(self, dec_cache):
         dec = dec_cache(5)
-        state = protocol.init_state(dec)
+        state = protocol.DualRailState(dec)
         protocol.evolve(state, 2.0)
-        step, _ = protocol.measure(state)
+        step = protocol.measure(state).step_success
         assert state.norm_sq() == pytest.approx(1.0 - step, abs=1e-12)
 
 
@@ -166,10 +178,10 @@ class TestEngineProperties:
     def test_matches_site_basis_replay(self, dec_cache, run):
         n, taus, noise = run
         dec = dec_cache(n)
-        state = protocol.init_state(dec, noise)
+        state = protocol.DualRailState(dec, noise)
         for tau in taus:
             protocol.evolve(state, tau)
-            step, _ = protocol.measure(state)
+            step = protocol.measure(state).step_success
             assert step >= 0.0
             assert abs(state.total_success + state.norm_sq() + state.loss - 1.0) <= 1e-12
         p = np.array([r.joint_failure for r in state.records])
@@ -215,7 +227,7 @@ def step_bits(records, coefficients, loss, total, norm_sq):
 
 
 def engine_steps(dec, ops, noise):
-    state = protocol.init_state(dec, noise)
+    state = protocol.DualRailState(dec, noise)
     for op in ops:
         if op is MEASURE:
             protocol.measure(state)
@@ -225,7 +237,7 @@ def engine_steps(dec, ops, noise):
 
 
 def state_bits(state):
-    records = [dataclasses.astuple(r) for r in state.records]
+    records = [tuple(r) for r in state.records]
     return step_bits(records, state.coefficients, state.loss, state.total_success, state.norm_sq())
 
 
@@ -268,7 +280,7 @@ class TestStepBits:
         # 4e307 overflows the clock; both leave the state and its kept phases
         # as they were
         dec = dec_cache(2)
-        state = protocol.init_state(dec, noise)
+        state = protocol.DualRailState(dec, noise)
 
         def rejected(tau):
             before = state_bits(state), state.time, state._pending_interval
