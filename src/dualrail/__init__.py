@@ -15,8 +15,8 @@ from .chain_core import (
     propagator_matrix,
     transition_amplitude,
 )
-from .protocol import DualRailState, MeasurementRecord, NoiseParams, run_schedule
-from .scheduler import Schedule, ThresholdNotReached, greedy_optimize, uniform_schedule
+from .protocol import DualRailState, MeasurementRecord, NoiseParams, Schedule, run_schedule
+from .scheduler import ThresholdNotReached, greedy_optimize, uniform_schedule
 
 __all__ = [
     "ChainSpec",

@@ -16,7 +16,8 @@ import numpy as np
 
 from ._csvio import render_csv
 from .chain_core import ChainSpec, build_sector_hamiltonian, diagonalize, first_peak, require_int
-from .noise import NoiseParams, p_infinity_estimate, p_infinity_exact
+from .noise import p_infinity_estimate, p_infinity_exact
+from .protocol import NoiseParams
 from .scheduler import greedy_run
 
 #: hbar / k_B in ns * K (CODATA, 5 significant figures)

@@ -155,15 +155,26 @@ def require_finite_phases(energies: np.ndarray, t: float) -> None:
         raise ValueError(f"the phases E*t are not finite at t = {t:g} (an overflow or a NaN time)")
 
 
-def _check_site(dec: SpectralDecomposition, site) -> None:
-    if isinstance(site, bool) or not isinstance(site, (int, np.integer)) or not 1 <= site <= dec.n_sites:
-        raise ValueError(f"site index must be an int in 1..{dec.n_sites}, got {site!r}")
+def advance_clock(time: float, tau: float) -> float:
+    """The clock time + tau after one evolution interval; ValueError unless tau > 0 and both are finite."""
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"evolution interval must be finite and positive, got {tau}")
+    if not math.isfinite(time + tau):
+        raise ValueError(f"the run's clock overflows at t = {time:g} + {tau:g}")
+    return time + tau
+
+
+def require_site(site, n_sites: int) -> int:
+    """``site`` as an int in 1..``n_sites``; ValueError otherwise (bools and floats are not sites)."""
+    site = require_int(site, "site", 1)
+    if site > n_sites:
+        raise ValueError(f"site must be in 1..{n_sites}, got {site}")
+    return site
 
 
 def transition_amplitude(dec: SpectralDecomposition, r: int, s: int, t: float) -> complex:
     """Amplitude <r| exp(-i H t) |s> between site-excitation states (1-based)."""
-    _check_site(dec, r)
-    _check_site(dec, s)
+    r, s = require_site(r, dec.n_sites), require_site(s, dec.n_sites)
     require_finite_phases(dec.energies, t)
     w = dec.modes[r - 1, :] * dec.modes[s - 1, :]
     return complex(np.sum(w * np.exp(-1j * dec.energies * t)))
@@ -180,9 +191,10 @@ def grid_points(t_lo: float, t_hi: float, step: float) -> int:
 
 
 # PhaseGrid.sums runs as a non-uniform FFT from this many modes and grid points
-# on; below either, the factored matrix product is as fast or faster.  One
-# greedy scan (G = 29N) costs the same both ways near N = 300; at N = 1000 the
-# matrix product takes 4.2 ms and the FFT 1.6 ms (one BLAS thread).
+# on, else as the factored table.  A greedy scan (G = 29N) costs the same both
+# ways near N = 300; at N = 1000 the table takes 4.2 ms, the FFT 1.6 (one BLAS
+# thread).  1024 points is no crossover (at N = 300 the FFT builds and scans 600
+# points faster, the table 300), but every default grid of 300+ modes has more.
 _NUFFT_MIN_MODES = 300
 _NUFFT_MIN_POINTS = 1024
 # Gaussian kernel half-width in fine-grid cells, and the fine grid's oversampling

@@ -26,8 +26,8 @@ from . import analysis, oracle, protocol
 from ._csvio import render_csv, typed, write_text
 from .chain_core import (ChainSpec, PhaseGrid, build_sector_hamiltonian, diagonalize,
                          grid_points, require_physical_memory, time_scale)
-from .noise import NoiseParams
-from .scheduler import Schedule, ThresholdNotReached, greedy_optimize, greedy_run, uniform_schedule
+from .protocol import NoiseParams, Schedule
+from .scheduler import ThresholdNotReached, greedy_optimize, greedy_run, uniform_schedule
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2

@@ -20,14 +20,14 @@ Conventions (used everywhere in this module):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import chain_core, protocol
 from .analysis import gamma_ns_to_natural
-from .chain_core import ChainSpec, build_sector_hamiltonian, require_finite_phases, require_int
-from .noise import NoiseParams
+from .chain_core import ChainSpec, build_sector_hamiltonian, require_finite_phases, require_site
+from .protocol import NoiseParams
 from .scheduler import greedy_optimize
 
 _SZ = np.array([[-1.0, 0.0], [0.0, 1.0]])  # sz|1> = +|1>
@@ -54,14 +54,6 @@ class LogicalQubit:
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
             raise ValueError(f"qubit not normalized: |a|^2+|b|^2 = {norm}")
-
-
-def _require_site(site, n_sites: int) -> int:
-    """``site`` as an int in 1..``n_sites``; ValueError otherwise (bools and floats are not sites)."""
-    site = require_int(site, "site", 1)
-    if site > n_sites:
-        raise ValueError(f"site must be in 1..{n_sites}, got {site}")
-    return site
 
 
 def excitation_index(n_sites: int, site: int) -> int:
@@ -114,7 +106,7 @@ def single_excitation_block(h_full: np.ndarray, n_sites: int) -> np.ndarray:
 def full_transition_amplitude(spec: ChainSpec, r: int, s: int, t: float) -> complex:
     """<r| exp(-i H t) |s> from the dense 2^N eigendecomposition; ValueError unless E*t is finite."""
     n = spec.n_sites
-    r, s = _require_site(r, n), _require_site(s, n)
+    r, s = require_site(r, n), require_site(s, n)
     eigensystem = np.linalg.eigh(full_hamiltonian(spec))
     require_finite_phases(eigensystem[0], t)
     return _eigen_amplitude(eigensystem, n, r, s, t)
@@ -166,7 +158,7 @@ def _controlled_flip(psi: np.ndarray, mask: int, control: bool) -> np.ndarray:
 def dual_rail_protocol_full(
     spec: ChainSpec,
     qubit: LogicalQubit,
-    schedule: Sequence[float],
+    schedule: Union[Sequence[float], protocol.Schedule],
     noise: NoiseParams = NoiseParams(0.0),
     dephasing: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> DualRailFullResult:
@@ -179,11 +171,12 @@ def dual_rail_protocol_full(
     recorded probability is joint, exactly as in the reduced protocol.
     ``dephasing``, if given, is applied to the state matrix after each
     evolution interval (used by the decoherence-free-subspace checks).
+    ``schedule`` is checked as ``protocol.run_schedule`` checks it, phases on the dense spectrum.
     """
     n = spec.n_sites
     if n > MAX_DUAL_RAIL_SITES:
         raise ValueError(f"dual-rail oracle capped at {MAX_DUAL_RAIL_SITES} sites, got {n}")
-    intervals = protocol.Schedule(getattr(schedule, "intervals", schedule)).intervals
+    intervals = protocol.Schedule(schedule).intervals.tolist()
 
     dim = 1 << n
     energies, vectors = np.linalg.eigh(full_hamiltonian(spec))
@@ -201,6 +194,8 @@ def dual_rail_protocol_full(
     success_cols = (np.arange(dim) & 1) == 1  # chain-2 site N excited
 
     for tau in intervals:
+        t_abs = chain_core.advance_clock(t_abs, tau)
+        require_finite_phases(energies, tau)
         u = (vectors * np.exp(-1j * energies * tau)) @ vectors.T
         psi = u @ psi @ u.T
         if noise.gamma_1 > 0.0 or noise.gamma_2 > 0.0:
@@ -209,7 +204,6 @@ def dual_rail_protocol_full(
         if dephasing is not None:
             psi = dephasing(psi)
         psi = _controlled_flip(psi, 1, control=True)
-        t_abs += tau
 
         success_branch = psi[:, success_cols]
         step_success = float(np.sum(np.abs(success_branch) ** 2))
@@ -225,7 +219,7 @@ def dual_rail_protocol_full(
         steps.append(
             FullStepRecord(
                 index=len(steps) + 1,
-                interval=float(tau),
+                interval=tau,
                 absolute_time=t_abs,
                 step_success=step_success,
                 joint_failure=1.0 - total_success,
@@ -285,7 +279,7 @@ def dephasing_free_check(spec: ChainSpec, m: int) -> tuple[bool, dict]:
     n = spec.n_sites
     if n > MAX_DUAL_RAIL_SITES:
         raise ValueError(f"dual-rail oracle capped at {MAX_DUAL_RAIL_SITES} sites, got {n}")
-    m = _require_site(m, n)
+    m = require_site(m, n)
     idx = excitation_index(n, m)
     z = _site_sz_values(n)
     table = {}

@@ -49,7 +49,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from ._csvio import typed
-from .chain_core import SpectralDecomposition, require_finite_phases
+from .chain_core import SpectralDecomposition, advance_clock, require_finite_phases
 
 
 @dataclass(frozen=True)
@@ -95,18 +95,15 @@ class NoiseParams:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Ordered positive inter-measurement intervals, natural time units."""
+    """Ordered positive inter-measurement intervals, natural time units, from times or another Schedule."""
 
     intervals: np.ndarray
 
     def __post_init__(self) -> None:
-        intervals = np.asarray(self.intervals, dtype=float)
+        intervals = np.asarray(getattr(self.intervals, "intervals", self.intervals), dtype=float)
         if intervals.ndim != 1 or intervals.size == 0 or not np.all(np.isfinite(intervals) & (intervals > 0)):
             raise ValueError("a schedule is a non-empty 1-d list of finite positive intervals")
         object.__setattr__(self, "intervals", intervals)
-
-    def __len__(self) -> int:
-        return len(self.intervals)
 
     def to_json(self) -> str:
         return json.dumps({"intervals": list(self.intervals)}, indent=2)
@@ -196,11 +193,7 @@ def evolve(state: DualRailState, tau: float) -> None:
     evolution is norm preserving.  The phases of an interval equal to the
     last one are reused, and a rejected interval leaves the state as it was.
     """
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"evolution interval must be finite and positive, got {tau}")
-    time = state.time + tau
-    if not math.isfinite(time):
-        raise ValueError(f"the run's clock overflows at t = {state.time:g} + {tau:g}")
+    time = advance_clock(state.time, tau)
     if tau != state._tau:
         require_finite_phases(state.dec.energies, tau)
         state._phases = np.exp(state._rates * tau)
@@ -235,18 +228,17 @@ def measure(state: DualRailState) -> MeasurementRecord:
 
 def run_schedule(
     dec: SpectralDecomposition,
-    schedule: Union[Sequence[float], "object"],
+    schedule: Union[Sequence[float], Schedule],
     noise: NoiseParams = NoiseParams(0.0),
 ) -> DualRailState:
     """Alternate evolution and measurement for every interval of ``schedule``.
 
-    ``schedule`` is anything with an ``intervals`` attribute (a Schedule) or a
-    plain sequence of finite positive times; ``Schedule`` checks either.
+    ``schedule`` is a Schedule or a sequence of times, either checked by ``Schedule``.
     ``noise`` damps the run; with unequal rates every record is the balanced
     input qubit's.
     """
     state = DualRailState(dec, noise)
-    for tau in Schedule(getattr(schedule, "intervals", schedule)).intervals:
+    for tau in Schedule(schedule).intervals:
         evolve(state, float(tau))
         measure(state)
     return state

@@ -1,10 +1,11 @@
-"""Each module of the package imports only public names from its siblings.
+"""Each module of the package imports only public names from its siblings, each from its owner.
 
 A run state's private attributes belong to ``protocol``: no other module reads
 or writes them.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import dualrail
@@ -28,6 +29,29 @@ def test_sources_found():
 
 def test_no_private_name_crosses_a_module():
     assert [line for path in SOURCES for line in private_imports(path)] == []
+
+
+def borrowed_imports(filename, source):
+    """``from .module import name`` lines whose object is defined in a module other than ``module``."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            module = importlib.import_module(f"dualrail.{node.module}")
+            for alias in node.names:
+                owner = getattr(getattr(module, alias.name), "__module__", module.__name__)
+                if owner != module.__name__:
+                    found.append(f"{filename}:{node.lineno}: {alias.name} from .{node.module}, owner {owner}")
+    return found
+
+
+def test_each_name_is_imported_from_its_owner():
+    assert [line for path in SOURCES
+            for line in borrowed_imports(path.name, path.read_text(encoding="utf-8"))] == []
+
+
+def test_a_re_exported_name_is_flagged():
+    assert borrowed_imports("m.py", "from .noise import NoiseParams, p_infinity_exact\n") == [
+        "m.py:1: NoiseParams from .noise, owner dualrail.protocol"]
 
 
 def state_private_names():

@@ -1,12 +1,13 @@
 """Unit tests of the brute-force full-Hilbert-space validator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from dualrail import oracle, protocol
-from dualrail.chain_core import (ChainSpec, build_sector_hamiltonian, diagonalize,
+from dualrail.chain_core import (ChainSpec, build_sector_hamiltonian, diagonalize, require_site,
                                  transition_amplitude)
 from dualrail.protocol import NoiseParams
 from dualrail.scheduler import greedy_optimize
@@ -110,7 +111,7 @@ class TestLogicalQubit:
 
 
 class TestPublicInputChecks:
-    """The oracle's entry points reject bad sites and times as ``chain_core`` does."""
+    """The oracle's entry points reject bad sites and times with ``chain_core``'s rules and messages."""
 
     @pytest.mark.parametrize("t", [math.nan, 1e308], ids=["nan", "overflow"])
     def test_amplitude_rejects_non_finite_phases(self, t):
@@ -129,10 +130,41 @@ class TestPublicInputChecks:
         with pytest.raises(ValueError, match="^site must be"):
             oracle.dephasing_free_check(ChainSpec(4), site)
 
+    @pytest.mark.parametrize("site", [True, np.bool_(True), 2.0, "2", 0, 5],
+                             ids=["bool", "numpy-bool", "float", "str", "zero", "past-end"])
+    def test_one_site_rule_for_every_entry_point(self, site):
+        spec = ChainSpec(4)
+        dec = diagonalize(build_sector_hamiltonian(spec))
+        with pytest.raises(ValueError) as rule:
+            require_site(site, 4)
+        messages = []
+        for call in (lambda: transition_amplitude(dec, site, 2, 1.0),
+                     lambda: oracle.full_transition_amplitude(spec, site, 2, 1.0),
+                     lambda: oracle.dephasing_free_check(spec, site)):
+            with pytest.raises(ValueError) as raised:
+                call()
+            messages.append(str(raised.value))
+        assert messages == [str(rule.value)] * 3
+
+    # E_max = 6 at N = 3: 6e308 overflows the phase; 7 x 2.8333e307 only the clock
+    @pytest.mark.parametrize("schedule,message", [
+        ([1e308], "the phases E*t are not finite at t = 1e+308 (an overflow or a NaN time)"),
+        ([2.8333e307] * 7, "the run's clock overflows at t = 1.69998e+308 + 2.8333e+307"),
+    ], ids=["phase", "clock"])
+    def test_protocol_rejects_what_the_engine_rejects(self, schedule, message):
+        spec = ChainSpec(3)
+        dec = diagonalize(build_sector_hamiltonian(spec))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            protocol.run_schedule(dec, schedule)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            oracle.dual_rail_protocol_full(spec, oracle.LogicalQubit(0.6, 0.8j), schedule)
+
     def test_numpy_integer_sites_accepted(self):
         exact = oracle.full_transition_amplitude(ChainSpec(4), 1, 4, 2.0)
         assert oracle.full_transition_amplitude(ChainSpec(4), np.int64(1), np.int32(4), 2.0) == exact
         assert oracle.dephasing_free_check(ChainSpec(4), np.int64(2)) == oracle.dephasing_free_check(ChainSpec(4), 2)
+        dec = diagonalize(build_sector_hamiltonian(ChainSpec(4)))
+        assert transition_amplitude(dec, np.int64(1), np.int32(4), 2.0) == transition_amplitude(dec, 1, 4, 2.0)
 
 
 class TestDualRailProtocolFull:

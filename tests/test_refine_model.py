@@ -113,6 +113,39 @@ def test_phase_term_is_what_keeps_the_bits(monkeypatch):
     assert any(plain != assisted for plain, assisted in (refine_case(*case) for case in phase_cases))
 
 
+def largest_radius_case():
+    """20 seeded modes spanning [0, 8] at h = 1.9: radius 7.6, just under the 8 from which no rows are built."""
+    rng = np.random.default_rng(7)
+    energies = np.sort(np.concatenate(([0.0, 8.0], rng.uniform(0.0, 8.0, 18))))
+    return energies, (rng.normal(size=20) + 1j * rng.normal(size=20)) / 20, 1.9
+
+
+def worst_error_over_bound(energies, w, h):
+    """max |value - f(t)| / bound of the model on [-h, h], over 301 points."""
+    basis = _TaylorBasis(energies, h)
+    assert basis._rows is not None
+    model, f = basis.model(w, 0.0, -h, h), _phase_sum_objective(energies, w)
+    return max(abs(value - f(t)) / bound
+               for t in np.linspace(-h, h, 301).tolist() for value, bound in [model(t)])
+
+
+def test_bound_holds_at_the_largest_radius():
+    assert worst_error_over_bound(*largest_radius_case()) <= 1.0
+
+
+def test_remainder_term_is_what_keeps_the_bound(monkeypatch):
+    build = _TaylorBasis.__init__
+
+    def without_remainder_term(self, energies, half_width):
+        build(self, energies, half_width)
+        shift = energies - 0.5 * (energies[0] + energies[-1])
+        radius = half_width * max(abs(shift[0]), abs(shift[-1]))
+        self._per_weight -= radius**13 / math.factorial(13)
+
+    monkeypatch.setattr(_TaylorBasis, "__init__", without_remainder_term)
+    assert worst_error_over_bound(*largest_radius_case()) > 1.0
+
+
 def test_huge_spread_defers_every_comparison():
     energies = np.array([0.0, 1e3])
     w = np.array([0.6, 0.8j])
