@@ -12,7 +12,6 @@ from .chain_core import (
     build_sector_hamiltonian,
     diagonalize,
     first_peak,
-    propagator_matrix,
     transition_amplitude,
 )
 from .protocol import DualRailState, MeasurementRecord, NoiseParams, Schedule, run_schedule
@@ -25,7 +24,6 @@ __all__ = [
     "build_sector_hamiltonian",
     "diagonalize",
     "first_peak",
-    "propagator_matrix",
     "transition_amplitude",
     "NoiseParams",
     "DualRailState",

@@ -32,6 +32,10 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 _PHYSICAL_MEMORY_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+# Peak memory of ``diagonalize`` per N^2, as peak-RSS growth of eigh_tridiagonal in a
+# fresh process at one BLAS thread (scipy 1.17, x86-64): 2.24 x the 8 N^2 bytes of the
+# eigenvectors at N = 1000, falling to 2.03 x at N = 6400, rounded up.
+_EIGENSOLVE_BYTES = 20
 
 
 def require_physical_memory(n_bytes: float, what: str) -> None:
@@ -61,8 +65,9 @@ class ChainSpec:
     n_sites : number of spins, an int (or numpy integer, stored as int) >= 2.
     anisotropy : z-coupling multiplier delta (1 = isotropic Heisenberg).
 
-    A chain whose N x N float64 eigenvector matrix (8 N^2 bytes) would not
-    fit in physical memory is rejected here, before anything allocates it.
+    A chain whose eigensolve would not fit in physical memory is rejected
+    here, before anything allocates it: the solve peaks at over twice the
+    8 N^2 bytes of its N x N float64 eigenvector matrix.
     """
 
     n_sites: int
@@ -70,7 +75,8 @@ class ChainSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_sites", require_int(self.n_sites, "n_sites", 2))
-        require_physical_memory(8 * self.n_sites**2, f"the eigenvectors of n_sites={self.n_sites}")
+        require_physical_memory(_EIGENSOLVE_BYTES * self.n_sites**2,
+                                f"the eigensolve of n_sites={self.n_sites}")
         if not math.isfinite(self.anisotropy):
             raise ValueError(f"anisotropy must be finite, got {self.anisotropy}")
 
@@ -95,8 +101,7 @@ class SpectralDecomposition:
     ``energies`` ascending; ``modes[:, k]`` is the orthonormal eigenvector of
     ``energies[k]``, its sign the eigensolver's: each output multiplies two entries of
     one column, so none sees it.  The end rows ``sender`` = v(1) and ``receiver`` =
-    v(N) are all the O(N) engine reads; ``modes`` has two readers,
-    ``transition_amplitude`` and ``propagator_matrix``, and the oracle uses those.
+    v(N) are all the O(N) engine reads; ``modes`` has one reader, ``transition_amplitude``.
     Immutable; safe to share across threads.
     """
 
@@ -185,18 +190,18 @@ def grid_points(t_lo: float, t_hi: float, step: float) -> int:
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"a grid step must be finite and > 0, got {step}")
     span = (t_hi - t_lo) / step
-    if math.isinf(span):
+    if not math.isfinite(span):
         raise ValueError(f"a grid from {t_lo} to {t_hi} at step {step} has no finite size")
     return math.floor(span + 1e-9) + 1
 
 
-# PhaseGrid.sums runs as a non-uniform FFT from this many modes and grid points
-# on, else as the factored table.  A greedy scan (G = 29N) costs the same both
-# ways near N = 300; at N = 1000 the table takes 4.2 ms, the FFT 1.6 (one BLAS
-# thread).  1024 points is no crossover (at N = 300 the FFT builds and scans 600
-# points faster, the table 300), but every default grid of 300+ modes has more.
+# PhaseGrid.sums runs as a non-uniform FFT from this many modes on, else as the
+# factored table.  A greedy scan (G = 29N) costs the same both ways near N = 300;
+# at N = 1000 the table takes 4.2 ms, the FFT 1.6 (one BLAS thread).  The point
+# count picks no route: building and summing 600 points, the FFT takes 0.36 ms at
+# N = 300 and 0.96 ms at N = 1000, the table 0.41 and 1.21; the table wins only
+# below about 300 points, by at most 0.5 ms, on grids no default 300+ mode scan has.
 _NUFFT_MIN_MODES = 300
-_NUFFT_MIN_POINTS = 1024
 # Gaussian kernel half-width in fine-grid cells, and the fine grid's oversampling
 _NUFFT_HALF_WIDTH = 15
 _NUFFT_OVERSAMPLING = 2
@@ -247,10 +252,10 @@ class PhaseGrid:
     pays nothing measurable for it.
 
     The (G x modes) table exp(-i E t_j) is never formed; ``sums`` takes one of
-    two routes, chosen here from the input size:
+    two routes, chosen here from the mode count alone:
 
-    * Below ``_NUFFT_MIN_MODES`` modes or ``_NUFFT_MIN_POINTS`` points, a
-      factored table.  With B = ceil(sqrt(G)), Q = ceil(G/B) and j = q*B + m,
+    * Below ``_NUFFT_MIN_MODES`` modes, a factored table.  With B = ceil(sqrt(G)),
+      Q = ceil(G/B) and j = q*B + m,
       exp(-i E t_j) = base[q] * inner[m], where base = exp(-i E (t_lo + step*B*q))
       is (Q x modes) and inner = exp(-i E step*m) is (B x modes).  The grid
       holds (B+Q)*modes exponentials, O(modes * sqrt(G)), and each ``sums`` is
@@ -276,7 +281,7 @@ class PhaseGrid:
         self._energies, self._t_lo, self._t_hi, self._step = energies, t_lo, t_hi, step
         self._taylor = _TaylorBasis(energies, step)
         self._fft_size = 0
-        if len(energies) >= _NUFFT_MIN_MODES and n_points >= _NUFFT_MIN_POINTS:
+        if len(energies) >= _NUFFT_MIN_MODES:
             self._plan_nufft(energies, t_lo, step)
             return
         b = math.isqrt(n_points - 1) + 1
@@ -490,15 +495,6 @@ def _phase_sum_objective(energies: np.ndarray, w: np.ndarray, decay: float = 0.0
         return math.exp(decay * t) * abs((w * np.exp(rates * t)).sum()) ** 2
 
     return f
-
-
-def propagator_matrix(dec: SpectralDecomposition, tau: float) -> np.ndarray:
-    """Unitary F(tau) with F[r-1, s-1] = f_{r,s}(tau)."""
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    require_finite_phases(dec.energies, tau)
-    phases = np.exp(-1j * dec.energies * tau)
-    return (dec.modes * phases) @ dec.modes.T
 
 
 def first_peak(dec: SpectralDecomposition) -> tuple[float, float]:

@@ -14,7 +14,6 @@ from scipy.linalg import eigh_tridiagonal
 from dualrail import chain_core
 from dualrail.chain_core import (
     _NUFFT_MIN_MODES,
-    _NUFFT_MIN_POINTS,
     ChainSpec,
     PhaseGrid,
     SectorHamiltonian,
@@ -23,7 +22,6 @@ from dualrail.chain_core import (
     diagonalize,
     first_peak,
     grid_points,
-    propagator_matrix,
     time_scale,
     transition_amplitude,
 )
@@ -60,6 +58,14 @@ class TestChainSpec:
         # 8 N^2 bytes of eigenvectors at N = 10^7 is 800 TB
         with pytest.raises(ValueError, match="physical memory"):
             ChainSpec(10**7)
+
+    def test_rejects_chain_whose_eigensolve_exceeds_memory(self):
+        # the 8 N^2 bytes of eigenvectors fit, but the solve peaks at over twice
+        # that; building the spec allocates nothing, so no such chain is solved
+        n = math.isqrt(chain_core._PHYSICAL_MEMORY_BYTES // 8)
+        assert 8 * n**2 <= chain_core._PHYSICAL_MEMORY_BYTES
+        with pytest.raises(ValueError, match="physical memory"):
+            ChainSpec(n)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_parameters(self, bad):
@@ -140,7 +146,6 @@ class TestDiagonalize:
                 [[float.hex(float(x)) for r in run.records for x in tuple(r)]
                  for run in runs],
                 [float.hex(x) for x in (*first_peak(d), amplitude.real, amplitude.imag)],
-                propagator_matrix(d, t).tobytes(),
                 grid.sums(d.receiver * d.sender).tobytes(),
             )
 
@@ -197,16 +202,16 @@ class TestTransitionAmplitude:
 
 
 class TestPhaseGrid:
-    # 16/289 are perfect squares, 17/290/2000 leave a ragged last block; N = 400
-    # with 2000 points is past both FFT crossovers, every other case is below one
-    @pytest.mark.parametrize("n", [2, 7, 50, 400])
+    # 16/289 are perfect squares, 17/290/2000 leave a ragged last block; N = 299
+    # is the largest chain the factored table sums, N = 300 and 400 go by the FFT
+    @pytest.mark.parametrize("n", [2, 7, 50, 299, 300, 400])
     @pytest.mark.parametrize("t0", [0.0, 0.37])
     @pytest.mark.parametrize("n_points", [1, 2, 3, 16, 17, 289, 290, 2000])
     def test_matches_transition_amplitudes(self, dec_cache, n, t0, n_points):
         dec = dec_cache(n)
         step = 0.05
         grid = PhaseGrid(dec.energies, t0, t0 + step * (n_points - 1), step)
-        assert bool(grid._fft_size) == (n >= _NUFFT_MIN_MODES and n_points >= _NUFFT_MIN_POINTS)
+        assert bool(grid._fft_size) == (n >= _NUFFT_MIN_MODES)
         got = grid.sums(dec.modes[-1, :] * dec.modes[0, :])
         expected = [transition_amplitude(dec, n, 1, t0 + step * j) for j in range(n_points)]
         assert got.shape == grid.times.shape == (n_points,)
@@ -256,6 +261,13 @@ class TestPhaseGrid:
         with pytest.raises(ValueError, match="step"):
             PhaseGrid(np.zeros(1), 0.0, 1.0, step)
 
+    @pytest.mark.parametrize("t_lo, t_hi", [(0.0, math.nan), (math.nan, 1.0)])
+    def test_rejects_nan_grid_ends(self, dec_cache, t_lo, t_hi):
+        with pytest.raises(ValueError, match="no finite size"):
+            grid_points(t_lo, t_hi, 0.05)
+        with pytest.raises(ValueError, match="no finite size"):
+            PhaseGrid(dec_cache(5).energies, t_lo, t_hi, 0.05)
+
     @pytest.mark.parametrize("t_lo, t_hi", [(0.0, 1e308), (-1e308, 0.0)])
     def test_rejects_overflowing_phases(self, dec_cache, t_lo, t_hi):
         # E_max = 7.2 at N = 5, so a phase at |t| = 1e308 is inf and its sum NaN
@@ -292,31 +304,6 @@ class TestPhaseGrid:
             tracemalloc.stop()
         assert objective.grid.times.size == 29001
         assert held < 16 * 2**20
-
-
-class TestPropagator:
-    def test_unitary(self, dec_cache):
-        f = propagator_matrix(dec_cache(6), 2.5)
-        np.testing.assert_allclose(f @ f.conj().T, np.eye(6), atol=1e-12)
-
-    def test_composition(self, dec_cache):
-        dec = dec_cache(5)
-        np.testing.assert_allclose(
-            propagator_matrix(dec, 1.2) @ propagator_matrix(dec, 0.8),
-            propagator_matrix(dec, 2.0),
-            atol=1e-12,
-        )
-
-    def test_negative_time_rejected(self, dec_cache):
-        with pytest.raises(ValueError, match="tau"):
-            propagator_matrix(dec_cache(3), -0.1)
-
-    @pytest.mark.parametrize("tau", [1e308, math.inf, math.nan])
-    def test_non_finite_phase_rejected(self, dec_cache, tau):
-        # NaN passes the tau < 0 check; the phase check stops it as it stops 1e308 and inf
-        message = f"the phases E*t are not finite at t = {tau:g} (an overflow or a NaN time)"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            propagator_matrix(dec_cache(5), tau)
 
 
 class TestFirstPeak:

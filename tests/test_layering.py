@@ -1,7 +1,8 @@
 """Each module of the package imports only public names from its siblings, each from its owner.
 
 A run state's private attributes belong to ``protocol``: no other module reads
-or writes them.
+or writes them.  A spectrum's N x N ``modes`` have one reader,
+``chain_core.transition_amplitude``; everything else needs only the end rows.
 """
 
 import ast
@@ -75,3 +76,17 @@ def test_only_protocol_touches_a_run_states_internals():
     names = state_private_names()
     assert [line for path in SOURCES if path.name != "protocol.py"
             for line in private_state_uses(path, names)] == []
+
+
+def modes_readers(path):
+    """``module.function`` for each function of ``path`` that reads an attribute named ``modes``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return sorted({f"{path.stem}.{func.name}"
+                   for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                   for node in ast.walk(func)
+                   if isinstance(node, ast.Attribute) and node.attr == "modes"})
+
+
+def test_only_transition_amplitude_reads_the_modes():
+    assert [reader for path in SOURCES
+            for reader in modes_readers(path)] == ["chain_core.transition_amplitude"]
