@@ -1,8 +1,9 @@
 """Deterministic CSV assembly shared by the result emitters, and the JSON input type rule.
 
-Layout: '# key=value' metadata lines, a '# digest=sha256:...' line over the
-data section, one '# generated=...' timestamp line (the only
-non-reproducible byte in the file), then the column header and rows.
+Layout: '# key=value' metadata lines (a value holding a line break is a
+ValueError), a '# digest=sha256:...' line over the data section, one
+'# generated=...' timestamp line (the only non-reproducible byte in the
+file), then the column header and rows.
 Rows are tuples, written by one '%' template per table that is typed by the first
 row: 17 significant digits for a float, str otherwise.  UTF-8, LF newlines.
 """
@@ -20,6 +21,10 @@ def format_value(v) -> str:
 
 
 def render_csv(columns, rows, metadata=None) -> str:
+    header_lines = [f"# {key}={format_value(value)}" for key, value in (metadata or {}).items()]
+    for line in header_lines:
+        if "\n" in line or "\r" in line:  # it would forge header or data lines
+            raise ValueError(f"a CSV header value cannot hold a line break: {line[2:]!r}")
     rows = iter(rows)
     first = next(rows, None)
     lines = [",".join(columns) + "\n"]
@@ -29,7 +34,6 @@ def render_csv(columns, rows, metadata=None) -> str:
         lines += map(template.__mod__, rows)
     data_section = "".join(lines)
     digest = hashlib.sha256(data_section.encode("utf-8")).hexdigest()
-    header_lines = [f"# {key}={format_value(value)}" for key, value in (metadata or {}).items()]
     now = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     header_lines += [f"# digest=sha256:{digest}", f"# generated={now}"]
     return "\n".join(header_lines) + "\n" + data_section

@@ -185,6 +185,12 @@ def transition_amplitude(dec: SpectralDecomposition, r: int, s: int, t: float) -
     return complex(np.sum(w * np.exp(-1j * dec.energies * t)))
 
 
+# The step of every refined scan (greedy's window, first_peak), in hbar/J.  At delta = 1
+# the phase sums beat no faster than the spectrum's width of 8 J/hbar, so the step puts
+# about 16 points in each beat period, and PhaseGrid.refine brackets +- one step.
+SCAN_STEP = 0.05
+
+
 def grid_points(t_lo: float, t_hi: float, step: float) -> int:
     """Number G of grid points t_lo + j*step that reach t_hi, allowing 1e-9 step of rounding."""
     if not (math.isfinite(step) and step > 0):
@@ -501,12 +507,12 @@ def first_peak(dec: SpectralDecomposition) -> tuple[float, float]:
     """Location and height of the first-arrival maximum of |f_{N,1}(t)|^2.
 
     Scans t in (0, 0.75 T], T = ``time_scale(N)``, on a ``PhaseGrid`` of step
-    0.01 hbar/J, far below the O(1) width of magnon-bandwidth features, and
-    refines its largest interior peak with ``PhaseGrid.refine``; ValueError if
-    there is none.
+    ``SCAN_STEP`` from t = ``SCAN_STEP`` on, 15N points, and refines its
+    largest interior peak with ``PhaseGrid.refine``.  Interior excludes the
+    scan's first and last points, whose rise may continue outside the scan;
+    ValueError if there is no interior peak.
     """
-    step = 0.01
-    grid = PhaseGrid(dec.energies, step, 0.75 * time_scale(dec.n_sites), step)
+    grid = PhaseGrid(dec.energies, SCAN_STEP, 0.75 * time_scale(dec.n_sites), SCAN_STEP)
     w = dec.receiver * dec.sender
     p = np.abs(grid.sums(w)) ** 2
     peaks = grid.peaks(p)

@@ -8,8 +8,9 @@ the protocol (the receiver picks the next waiting time only after seeing a
 failure) and is fully deterministic, with grid ties broken toward smaller tau.
 
 The search window is default_window(N) = (0.05 T, 1.5 T) with
-T = chain_core.time_scale(N), scanned at the fixed step 0.05 by one
-``chain_core.PhaseGrid``, which also finds and refines the grid's peaks.
+T = chain_core.time_scale(N), scanned at ``chain_core.SCAN_STEP`` (0.05
+hbar/J, the step of every refined scan) by one ``chain_core.PhaseGrid``,
+which also finds and refines the grid's peaks.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ from typing import Optional
 import numpy as np
 
 from . import protocol
-from .chain_core import PhaseGrid, SpectralDecomposition, require_int, time_scale
+from .chain_core import SCAN_STEP, PhaseGrid, SpectralDecomposition, require_int, time_scale
 from .protocol import DualRailState, NoiseParams, Schedule
-
-_GRID_STEP = 0.05
 
 
 class ThresholdNotReached(RuntimeError):
@@ -63,7 +62,7 @@ class _EndpointObjective:
     """
 
     def __init__(self, dec: SpectralDecomposition, gamma: float):
-        self.grid = PhaseGrid(dec.energies, *default_window(dec.n_sites), _GRID_STEP)
+        self.grid = PhaseGrid(dec.energies, *default_window(dec.n_sites), SCAN_STEP)
         self._decay = -2.0 * gamma
         self._damp = np.exp(self._decay * self.grid.times)
 

@@ -173,6 +173,18 @@ class TestProtocol:
         rows = [l for l in out.splitlines() if l and not l.startswith(("#", "l,"))]
         assert len(rows) == 2
 
+    @pytest.mark.parametrize("brk", ["\n", "\r"], ids=["LF", "CR"])
+    def test_line_break_in_schedule_path_forges_no_header_line(self, capsys, tmp_path, brk):
+        # the path is written into the '# schedule=' header line
+        path = tmp_path / f"sched{brk}l,tau_l_natural,FAKE{brk}1.json"
+        path.write_text(json.dumps({"intervals": [1.0, 2.0]}))
+        out_path = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, "protocol", "--n", "5", "--schedule", str(path),
+                                 "--out", str(out_path))
+        assert_validation_error(code, out, err)
+        assert "line break" in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
     def test_non_finite_schedule_file_is_validation_error(self, capsys, tmp_path, bad):
         path = tmp_path / "sched.json"

@@ -3,6 +3,7 @@
 A run state's private attributes belong to ``protocol``: no other module reads
 or writes them.  A spectrum's N x N ``modes`` have one reader,
 ``chain_core.transition_amplitude``; everything else needs only the end rows.
+Every refined scan steps at ``chain_core.SCAN_STEP``.
 """
 
 import ast
@@ -90,3 +91,44 @@ def modes_readers(path):
 def test_only_transition_amplitude_reads_the_modes():
     assert [reader for path in SOURCES
             for reader in modes_readers(path)] == ["chain_core.transition_amplitude"]
+
+
+def off_step_scans(filename, source):
+    """``module.function`` for each function whose ``PhaseGrid(...)`` call passes a step
+    other than ``SCAN_STEP`` from ``chain_core``, the one step of every refined scan."""
+    tree = ast.parse(source, filename=filename)
+    stem = filename.removesuffix(".py")
+    imported = stem == "chain_core" or any(
+        isinstance(node, ast.ImportFrom) and node.module == "chain_core"
+        and any(alias.name == "SCAN_STEP" and alias.asname is None for alias in node.names)
+        for node in ast.walk(tree))
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for call in ast.walk(func):
+            if not (isinstance(call, ast.Call) and "PhaseGrid" in (
+                    getattr(call.func, "id", None), getattr(call.func, "attr", None))):
+                continue
+            # the step is PhaseGrid's last parameter: by keyword, else the last positional
+            step = next((kw.value for kw in call.keywords if kw.arg == "step"), call.args[-1])
+            if not (imported and isinstance(step, ast.Name) and step.id == "SCAN_STEP"):
+                found.add(f"{stem}.{func.name}")
+    return sorted(found)
+
+
+def test_every_refined_scan_steps_at_scan_step():
+    # the amplitude command's step is the user's --dt
+    assert [scan for path in SOURCES
+            for scan in off_step_scans(path.name, path.read_text(encoding="utf-8"))] == [
+        "cli._cmd_amplitude"]
+
+
+def test_an_off_step_scan_is_flagged():
+    source = ("from .chain_core import PhaseGrid, SCAN_STEP\n"
+              "def ok(e): return PhaseGrid(e, *window(e), SCAN_STEP)\n"
+              "def literal(e): return PhaseGrid(e, 0.0, 1.0, 0.01)\n"
+              "def keyword(e): return chain_core.PhaseGrid(e, 0.0, 1.0, step=_GRID_STEP)\n")
+    assert off_step_scans("m.py", source) == ["m.keyword", "m.literal"]
+    assert off_step_scans("m.py", source.replace("SCAN_STEP\n", "SCAN_STEP as S\n", 1)) == [
+        "m.keyword", "m.literal", "m.ok"]

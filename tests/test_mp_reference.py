@@ -1,0 +1,46 @@
+"""The engine against a 40-digit reference that shares no eigensolver with it (``mp_reference``)."""
+
+import mpmath
+import pytest
+
+import mp_reference
+from dualrail.chain_core import ChainSpec, build_sector_hamiltonian, diagonalize, first_peak
+from dualrail.cli import main
+
+# README's bound on an amplitude row's p_transfer
+AMPLITUDE_TOL = 2e-13
+
+
+@pytest.mark.parametrize("n, delta", [(20, 1.0), (200, 1.0), (1000, 1.0),
+                                      (10, 0.5), (20, 0.5), (10, 1.5), (20, 1.5)])
+def test_first_peak_matches_reference(n, delta):
+    t, p = first_peak(diagonalize(build_sector_hamiltonian(ChainSpec(n, delta))))
+    t_ref, p_ref = mp_reference.Reference(n, delta).first_peak()
+    assert abs(t - float(t_ref)) < 1e-6
+    assert abs(p - float(p_ref)) < 1e-12 * float(p_ref)
+
+
+def test_closed_form_matches_eigsy():
+    # the reference's two spectra agree where both apply, at delta = 1; the
+    # weights v_k(N) v_k(1) do not see a column's sign
+    with mpmath.workdps(mp_reference.DPS):
+        for closed, solved in zip(mp_reference._closed_form(12),
+                                  mp_reference._eigsy(12, mpmath.mpf(1))):
+            assert max(abs(abs(a) - abs(b)) for a, b in zip(closed, solved)) < 1e-30
+
+
+# 200 modes sum on PhaseGrid's factored table, 400 on its FFT route
+@pytest.mark.parametrize("n", [200, 400])
+def test_amplitude_rows_match_reference(tmp_path, n):
+    out = tmp_path / "amplitude.csv"
+    assert main(["amplitude", "--n", str(n), "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    rows = lines[lines.index("t_natural,p_transfer") + 1:]
+    assert len(rows) == 150 * n + 1  # t = 0.01 j up to 1.5 N
+    table = [tuple(map(float, row.split(","))) for row in rows[:75 * n]]
+    arrival = max(range(75 * n), key=lambda j: table[j][1])  # the largest row up to 0.75 N
+    ref = mp_reference.Reference(n)
+    # the start, before the arrival, the first arrival and just after it, the echo near 1.25 N, the end
+    for j in (0, 7 * n, arrival, arrival + 3, 125 * n, 150 * n):
+        t, p = map(float, rows[j].split(","))
+        assert abs(p - float(ref.probability(t))) < AMPLITUDE_TOL, (j, t)
