@@ -5,9 +5,11 @@ optional JSON file (--config) with flag overrides; flags always win.  A config
 key is the destination of one of the command's flags ('--l-max' -> 'l_max'),
 plus the list keys 'n_values' and 'p_values' for 'fit'; its value must have
 the flag's type (a JSON integer passes as a float).  Any other key or type is
-a validation error.  Every command writes deterministic output:
-rerunning with the same configuration reproduces a byte-identical data
-section (only the '# generated=' header line changes).
+a validation error.  Every command returns its output text and exit code, and
+``main`` alone writes them: the text to stdout or --out, an error as one
+'error:' line on stderr with its line breaks escaped.  The output is
+deterministic: rerunning with the same configuration reproduces a
+byte-identical data section (only the '# generated=' header line changes).
 
 Exit codes: 0 success, 2 validation error, 3 failure threshold not reached,
 4 conformance failure.
@@ -24,8 +26,8 @@ import numpy as np
 
 from . import analysis, oracle, protocol
 from ._csvio import render_csv, typed, write_text
-from .chain_core import (ChainSpec, PhaseGrid, build_sector_hamiltonian, diagonalize,
-                         grid_points, require_physical_memory, time_scale)
+from .chain_core import (ChainSpec, PhaseGrid, SpectralDecomposition, build_sector_hamiltonian,
+                         diagonalize, grid_points, require_physical_memory, time_scale)
 from .protocol import NoiseParams, Schedule
 from .scheduler import ThresholdNotReached, greedy_optimize, greedy_run, uniform_schedule
 
@@ -33,6 +35,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_THRESHOLD = 3
 EXIT_CONFORMANCE = 4
+
+# The line boundaries of str.splitlines, each written as its escape so that an error
+# message quoting a path or an argument stays one line.
+_ESCAPED_BREAKS = str.maketrans({c: c.encode("unicode_escape").decode("ascii")
+                                 for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 
 # Peak memory of one output row, run through rendered CSV, as peak-RSS growth in a fresh
 # CPython 3.11 (x86-64) process, ns columns on: 368 B per `amplitude` grid point (at 10^6
@@ -140,17 +147,12 @@ def _read_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> d
     return cfg
 
 
-def _chain_spec(cfg: dict) -> ChainSpec:
+def _chain(cfg: dict) -> tuple[ChainSpec, SpectralDecomposition]:
+    """The chain's spec and the spectrum of its single-excitation sector."""
     if "n" not in cfg:
         raise ValueError("chain length required (--n)")
-    return ChainSpec(n_sites=cfg["n"], anisotropy=cfg.get("delta", 1.0))
-
-
-def _emit(text: str, out) -> None:
-    if out:
-        write_text(out, text)
-    else:
-        sys.stdout.write(text)
+    spec = ChainSpec(n_sites=cfg["n"], anisotropy=cfg.get("delta", 1.0))
+    return spec, diagonalize(build_sector_hamiltonian(spec))
 
 
 def _time_columns(cfg: dict):
@@ -161,9 +163,8 @@ def _time_columns(cfg: dict):
     return ("_ns",), lambda t: (analysis.natural_time_to_ns(t, j_kelvin),)
 
 
-def _cmd_amplitude(cfg: dict) -> int:
-    spec = _chain_spec(cfg)
-    dec = diagonalize(build_sector_hamiltonian(spec))
+def _cmd_amplitude(cfg: dict) -> tuple[str, int]:
+    spec, dec = _chain(cfg)
     dt = cfg.get("dt", 0.01)
     t_max = cfg.get("t_max", 1.5 * time_scale(spec.n_sites))
     if not all(math.isfinite(x) and x > 0 for x in (dt, t_max)):
@@ -178,8 +179,7 @@ def _cmd_amplitude(cfg: dict) -> int:
     times = grid.times.tolist()
     ns_cells = [[to_ns(t)[0] for t in times] for _ in ns_suffix]
     meta = {"command": "amplitude", "n": spec.n_sites, "delta": spec.anisotropy}
-    _emit(render_csv(columns, zip(times, *ns_cells, probs.tolist()), meta), cfg.get("out"))
-    return EXIT_OK
+    return render_csv(columns, zip(times, *ns_cells, probs.tolist()), meta), EXIT_OK
 
 
 def _l_max(cfg: dict) -> int:
@@ -209,9 +209,8 @@ def _resolve_noise(cfg: dict) -> NoiseParams:
     return NoiseParams(cfg.get("gamma", 0.0))
 
 
-def _cmd_protocol(cfg: dict) -> int:
-    spec = _chain_spec(cfg)
-    dec = diagonalize(build_sector_hamiltonian(spec))
+def _cmd_protocol(cfg: dict) -> tuple[str, int]:
+    spec, dec = _chain(cfg)
     noise = _resolve_noise(cfg)
     source = cfg.get("schedule", "greedy")
     if source in ("greedy", "uniform"):
@@ -246,20 +245,16 @@ def _cmd_protocol(cfg: dict) -> int:
     if not noise.symmetric:
         meta["gamma2_natural"] = noise.gamma_2
         meta["qubit"] = "balanced"
-    _emit(render_csv(columns, rows, meta), cfg.get("out"))
-    return EXIT_OK
+    return render_csv(columns, rows, meta), EXIT_OK
 
 
-def _cmd_optimize(cfg: dict) -> int:
-    spec = _chain_spec(cfg)
-    dec = diagonalize(build_sector_hamiltonian(spec))
+def _cmd_optimize(cfg: dict) -> tuple[str, int]:
+    _, dec = _chain(cfg)
     schedule = greedy_optimize(dec, l_max=_l_max(cfg))
-    text = schedule.to_json()
-    _emit(text + "\n", cfg.get("out"))
-    return EXIT_OK
+    return schedule.to_json() + "\n", EXIT_OK
 
 
-def _cmd_fit(cfg: dict) -> int:
+def _cmd_fit(cfg: dict) -> tuple[str, int]:
     kind = cfg.get("fit", "peak")
     if kind == "peak":
         if "p_values" in cfg:
@@ -275,23 +270,20 @@ def _cmd_fit(cfg: dict) -> int:
         "residual_rms": fit.residual_rms,
         "sample_range": list(fit.sample_range),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", cfg.get("out"))
-    return EXIT_OK
+    return json.dumps(payload, indent=2) + "\n", EXIT_OK
 
 
-def _cmd_figure(cfg: dict) -> int:
+def _cmd_figure(cfg: dict) -> tuple[str, int]:
     if "fig" not in cfg:
         raise ValueError("figure id required (--fig 2|3|4)")
     dataset = analysis.reproduce_figure(cfg["fig"])
-    _emit(dataset.to_csv(), cfg.get("out"))
-    return EXIT_OK
+    return dataset.to_csv(), EXIT_OK
 
 
-def _cmd_oracle_check(cfg: dict) -> int:
+def _cmd_oracle_check(cfg: dict) -> tuple[str, int]:
     report = oracle.conformance_report(inject_sign_error=cfg.get("inject_sign_error", False))
-    text = json.dumps(report, indent=2) + "\n"
-    _emit(text, cfg.get("out"))
-    return EXIT_OK if report["passed"] else EXIT_CONFORMANCE
+    code = EXIT_OK if report["passed"] else EXIT_CONFORMANCE
+    return json.dumps(report, indent=2) + "\n", code
 
 
 _COMMANDS = {
@@ -305,22 +297,24 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command: the only writer of its output (stdout or --out) and of its error line."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         cfg = _read_config(parser, args)
-        return _COMMANDS[args.command](cfg)
+        text, code = _COMMANDS[args.command](cfg)
+        if cfg.get("out"):
+            write_text(cfg["out"], text)
+        else:
+            sys.stdout.write(text)
+        return code
     except ThresholdNotReached as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_THRESHOLD
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        error, code = exc, EXIT_THRESHOLD
+    except (ValueError, TypeError, OSError) as exc:
+        error, code = exc, EXIT_VALIDATION
+    print(f"error: {str(error).translate(_ESCAPED_BREAKS)}", file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

@@ -2,10 +2,12 @@
 
 The greedy optimizer chooses each interval in protocol order: from the current
 projected state it maximizes the next joint success probability |(F(tau) c)_N|^2
-over a tau grid inside a window, then refines the best grid point by
-golden-section search.  This matches the sequential information structure of
-the protocol (the receiver picks the next waiting time only after seeing a
-failure) and is fully deterministic, with grid ties broken toward smaller tau.
+over a tau grid inside a window.  It refines by golden-section search every
+grid peak within 0.95 of the best grid value, and takes the earliest refined
+tau whose value is within a relative 1e-9 of the best refined value.  This
+matches the sequential information structure of the protocol (the receiver
+picks the next waiting time only after seeing a failure) and is fully
+deterministic, with near-ties broken toward smaller tau.
 
 The search window is default_window(N) = (0.05 T, 1.5 T) with
 T = chain_core.time_scale(N), scanned at ``chain_core.SCAN_STEP`` (0.05

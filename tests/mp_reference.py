@@ -1,4 +1,4 @@
-"""A 40-digit reference for |f_{N,1}(t)|^2 that shares no eigensolver with the engine.
+"""A 40-digit reference for |f_{N,1}(t)|^2 and P(l) that shares no eigensolver with the engine.
 
 Not a test module: ``test_mp_reference.py`` compares the engine against it.
 The spectrum of the chain's single-excitation sector comes from
@@ -14,6 +14,10 @@ for C = sum w cos(E t) and S = sum w sin(E t), so |f|^2 = C^2 + S^2 and its
 derivative is 2 (C C' + S S').  The first-arrival peak is the largest local
 maximum of |f|^2 over a double-precision scan of (0, 0.75 N] at step 0.05,
 each candidate polished by ``mpmath.findroot`` on the derivative.
+
+A schedule's P(l) replays the protocol in the eigenbasis: from a = v(1),
+each interval tau applies a <- exp(-i E tau) a, measures c_N = v(N) . a,
+projects a <- a - c_N v(N), and P(l) = 1 - sum of |c_N|^2 so far.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ _CANDIDATE_RATIO = 0.9
 
 
 class Reference:
-    """Energies and end-site weights of one chain, at ``DPS`` digits."""
+    """Energies, end rows v(1) and v(N) and their weights of one chain, at ``DPS`` digits."""
 
     def __init__(self, n: int, delta: float = 1.0):
         self.n = n
@@ -39,6 +43,8 @@ class Reference:
             else:
                 energies, sender, receiver = _eigsy(n, mpmath.mpf(delta))
             self.energies = energies
+            self.sender = sender
+            self.receiver = receiver
             self.weights = [a * b for a, b in zip(receiver, sender)]
 
     def probability(self, t) -> mpmath.mpf:
@@ -46,6 +52,21 @@ class Reference:
         with mpmath.workdps(DPS):
             c, s, _, _ = self._sums(mpmath.mpf(t))
             return c * c + s * s
+
+    def failure(self, intervals) -> list:
+        """P(l) after each interval of a schedule, replayed at ``DPS`` digits without damping."""
+        with mpmath.workdps(DPS):
+            a = list(self.sender)
+            p = mpmath.mpf(1)
+            out = []
+            for tau in intervals:
+                tau = mpmath.mpf(tau)
+                a = [x * mpmath.expj(-e * tau) for x, e in zip(a, self.energies)]
+                c = mpmath.fsum(v * x for v, x in zip(self.receiver, a))
+                a = [x - c * v for x, v in zip(a, self.receiver)]
+                p -= abs(c) ** 2
+                out.append(p)
+            return out
 
     def _sums(self, t):
         c = s = dc = ds = mpmath.mpf(0)

@@ -717,6 +717,24 @@ class TestOptionSurface:
     def test_command_line_error_is_one_error_line(self, capsys, argv):
         assert_validation_error(*run_cli(capsys, *argv))
 
+    # a schedule path and a stray argument quoted in the message, each holding a line break
+    # (any of str.splitlines' line boundaries)
+    @pytest.mark.parametrize("where", ["schedule-path", "argument"])
+    @pytest.mark.parametrize("brk, escape", [("\n", "\\n"), ("\r", "\\r"), ("\v", "\\x0b"),
+                                             ("\u2028", "\\u2028")],
+                             ids=["LF", "CR", "VT", "LS"])
+    def test_line_break_in_an_error_is_escaped(self, capsys, tmp_path, where, brk, escape):
+        if where == "schedule-path":
+            path = tmp_path / f"sched{brk}l,tau_l_natural,FAKE{brk}1.json"
+            path.write_text("[1.0, 2.0]")
+            argv = ("--schedule", str(path))
+            shown = f"sched{escape}l,tau_l_natural,FAKE{escape}1.json"
+        else:
+            argv, shown = (f"foo{brk}bar",), f"unrecognized arguments: foo{escape}bar"
+        code, out, err = run_cli(capsys, "protocol", "--n", "5", *argv)
+        assert_validation_error(code, out, err)
+        assert shown in err
+
     @pytest.mark.parametrize("launch", [("-m", "dualrail"),
                                         ("-c", "from dualrail import cli; cli.entrypoint()")],
                              ids=["python-m", "entrypoint"])

@@ -3,7 +3,8 @@
 A run state's private attributes belong to ``protocol``: no other module reads
 or writes them.  A spectrum's N x N ``modes`` have one reader,
 ``chain_core.transition_amplitude``; everything else needs only the end rows.
-Every refined scan steps at ``chain_core.SCAN_STEP``.
+Every refined scan steps at ``chain_core.SCAN_STEP``.  The CLI has one
+writer, ``cli.main``: its commands return their text and exit code.
 """
 
 import ast
@@ -132,3 +133,42 @@ def test_an_off_step_scan_is_flagged():
     assert off_step_scans("m.py", source) == ["m.keyword", "m.literal"]
     assert off_step_scans("m.py", source.replace("SCAN_STEP\n", "SCAN_STEP as S\n", 1)) == [
         "m.keyword", "m.literal", "m.ok"]
+
+
+def writers(filename, source):
+    """``module.function`` for each function that calls ``print``, ``write_text`` or
+    ``sys.stdout.write`` / ``sys.stderr.write``."""
+    def writes(call):
+        func = call.func
+        if isinstance(func, ast.Name):
+            return func.id in ("print", "write_text")
+        if not isinstance(func, ast.Attribute):
+            return False
+        stream = func.value
+        return func.attr == "write_text" or (
+            func.attr == "write" and isinstance(stream, ast.Attribute)
+            and stream.attr in ("stdout", "stderr")
+            and isinstance(stream.value, ast.Name) and stream.value.id == "sys")
+
+    stem = filename.removesuffix(".py")
+    return sorted({f"{stem}.{func.name}"
+                   for func in ast.walk(ast.parse(source, filename=filename))
+                   if isinstance(func, ast.FunctionDef)
+                   for call in ast.walk(func) if isinstance(call, ast.Call) and writes(call)})
+
+
+def test_main_is_the_clis_one_writer():
+    path = Path(dualrail.__file__).parent / "cli.py"
+    assert writers(path.name, path.read_text(encoding="utf-8")) == ["cli.main"]
+
+
+def test_a_second_writer_is_flagged():
+    source = ("import sys\n"
+              "def main(): sys.stdout.write(run())\n"
+              "def run(): return 'text'\n"
+              "def log(m): print(m, file=sys.stderr)\n"
+              "def err(m): sys.stderr.write(m)\n"
+              "def save(p, t): _csvio.write_text(p, t)\n"
+              "def emit(t, out): write_text(out, t) if out else sys.stdout.write(t)\n"
+              "def other(f, t): f.write(t)\n")
+    assert writers("m.py", source) == ["m.emit", "m.err", "m.log", "m.main", "m.save"]

@@ -4,11 +4,16 @@ import mpmath
 import pytest
 
 import mp_reference
+from dualrail import protocol
 from dualrail.chain_core import ChainSpec, build_sector_hamiltonian, diagonalize, first_peak
 from dualrail.cli import main
+from dualrail.scheduler import greedy_optimize
 
 # README's bound on an amplitude row's p_transfer
 AMPLITUDE_TOL = 2e-13
+# greedy's 20-step schedule replayed: the worst |P(l) - reference| measured 1.16e-13 at
+# N = 200 and 1.21e-13 (one BLAS thread) to 1.33e-13 (two) at N = 1000
+FAILURE_TOL = 3e-13
 
 
 @pytest.mark.parametrize("n, delta", [(20, 1.0), (200, 1.0), (1000, 1.0),
@@ -44,3 +49,14 @@ def test_amplitude_rows_match_reference(tmp_path, n):
     for j in (0, 7 * n, arrival, arrival + 3, 125 * n, 150 * n):
         t, p = map(float, rows[j].split(","))
         assert abs(p - float(ref.probability(t))) < AMPLITUDE_TOL, (j, t)
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_run_schedule_failure_matches_reference(n):
+    dec = diagonalize(build_sector_hamiltonian(ChainSpec(n)))
+    schedule = greedy_optimize(dec, l_max=20)
+    run = protocol.run_schedule(dec, schedule)
+    reference = mp_reference.Reference(n).failure(schedule.intervals)
+    assert len(run.records) == len(reference) == 20
+    for record, p in zip(run.records, reference):
+        assert abs(record.joint_failure - float(p)) < FAILURE_TOL, record.index
