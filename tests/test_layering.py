@@ -4,7 +4,8 @@ A run state's private attributes belong to ``protocol``: no other module reads
 or writes them.  A spectrum's N x N ``modes`` have one reader,
 ``chain_core.transition_amplitude``; everything else needs only the end rows.
 Every refined scan steps at ``chain_core.SCAN_STEP``.  The CLI has one
-writer, ``cli.main``: its commands return their text and exit code.
+writer, ``cli.main``: its commands return their text and exit code.  One
+function, ``analysis._forked_map``, starts processes.
 """
 
 import ast
@@ -172,3 +173,62 @@ def test_a_second_writer_is_flagged():
               "def emit(t, out): write_text(out, t) if out else sys.stdout.write(t)\n"
               "def other(f, t): f.write(t)\n")
     assert writers("m.py", source) == ["m.emit", "m.err", "m.log", "m.main", "m.save"]
+
+
+PROCESS_MODULES = {"multiprocessing", "concurrent", "subprocess", "pty"}
+OS_PROCESS_CALLS = ("fork", "spawn", "posix_spawn", "system", "popen")
+
+
+def process_starters(filename, source):
+    """``module.function`` (``module`` for module-level code) for each place that imports a
+    process module or calls, or imports from ``os``, a function that starts a process."""
+    stem = filename.removesuffix(".py")
+    found = set()
+
+    def starts(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] in PROCESS_MODULES for alias in node.names)
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            return node.module.split(".")[0] in PROCESS_MODULES or node.module == "os" and any(
+                alias.name.startswith(OS_PROCESS_CALLS) for alias in node.names)
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "os"
+                and node.func.attr.startswith(OS_PROCESS_CALLS))
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{stem}.{node.name}"
+        if starts(node):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source, filename=filename), stem)
+    return sorted(found)
+
+
+def test_forked_map_is_the_one_process_starter():
+    assert [place for path in SOURCES
+            for place in process_starters(path.name, path.read_text(encoding="utf-8"))] == [
+        "analysis._forked_map"]
+
+
+def test_a_second_process_starter_is_flagged():
+    source = ("import os\n"
+              "import multiprocessing\n"
+              "def ok(): return os.getpid(), os.read(0, 1)\n"
+              "def fork(): return os.fork()\n"
+              "def spawn(): return os.posix_spawn('/bin/true', [], {})\n"
+              "def pool():\n"
+              "    from concurrent.futures import ProcessPoolExecutor\n"
+              "    return ProcessPoolExecutor\n"
+              "def run():\n"
+              "    import subprocess as sp\n"
+              "    return sp.run(['true'])\n"
+              "def bare():\n"
+              "    from os import fork\n"
+              "    return fork()\n"
+              "def futures():\n"
+              "    import concurrent.futures\n")
+    assert process_starters("m.py", source) == [
+        "m", "m.bare", "m.fork", "m.futures", "m.pool", "m.run", "m.spawn"]

@@ -4,16 +4,21 @@ import mpmath
 import pytest
 
 import mp_reference
-from dualrail import protocol
+from dualrail import analysis, protocol
 from dualrail.chain_core import ChainSpec, build_sector_hamiltonian, diagonalize, first_peak
 from dualrail.cli import main
-from dualrail.scheduler import greedy_optimize
+from dualrail.noise import p_infinity_exact
+from dualrail.protocol import NoiseParams
+from dualrail.scheduler import greedy_optimize, greedy_run
 
 # README's bound on an amplitude row's p_transfer
 AMPLITUDE_TOL = 2e-13
 # greedy's 20-step schedule replayed: the worst |P(l) - reference| measured 1.16e-13 at
-# N = 200 and 1.21e-13 (one BLAS thread) to 1.33e-13 (two) at N = 1000
+# N = 200 and 1.21e-13 (one BLAS thread) to 1.33e-13 (two) at N = 1000; damped at
+# J/Gamma = 50 K ns, 6.0e-14 and 1.2e-14, and figure 4's N = 40 plateau run 2.4e-14
 FAILURE_TOL = 3e-13
+# figure 4's damping rate at J/Gamma = 50 K ns
+GAMMA_50 = analysis.gamma_to_natural(50.0)
 
 
 @pytest.mark.parametrize("n, delta", [(20, 1.0), (200, 1.0), (1000, 1.0),
@@ -51,12 +56,44 @@ def test_amplitude_rows_match_reference(tmp_path, n):
         assert abs(p - float(ref.probability(t))) < AMPLITUDE_TOL, (j, t)
 
 
-@pytest.mark.parametrize("n", [200, 1000])
-def test_run_schedule_failure_matches_reference(n):
+def assert_greedy_replay(n, gamma):
     dec = diagonalize(build_sector_hamiltonian(ChainSpec(n)))
     schedule = greedy_optimize(dec, l_max=20)
-    run = protocol.run_schedule(dec, schedule)
-    reference = mp_reference.Reference(n).failure(schedule.intervals)
+    run = protocol.run_schedule(dec, schedule, NoiseParams(gamma))
+    reference = mp_reference.Reference(n).failure(schedule.intervals, gamma)
     assert len(run.records) == len(reference) == 20
+    for record, p in zip(run.records, reference):
+        assert abs(record.joint_failure - float(p)) < FAILURE_TOL, record.index
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_run_schedule_failure_matches_reference(n):
+    assert_greedy_replay(n, 0.0)
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_damped_run_schedule_failure_matches_reference(n):
+    assert_greedy_replay(n, GAMMA_50)
+
+
+def test_damping_weighs_each_step_at_its_absolute_time():
+    # intervals 0.25 then 0.75: the second success carries exp(-2 gamma * 1.0), not 0.75
+    ref = mp_reference.Reference(4)
+    undamped = ref.failure([0.25, 0.75])
+    damped = ref.failure([0.25, 0.75], gamma=0.5)
+    with mpmath.workdps(mp_reference.DPS):
+        first, second = 1 - undamped[0], undamped[0] - undamped[1]
+        assert abs(damped[0] - (1 - mpmath.exp(-0.25) * first)) < 1e-35
+        assert abs(damped[1] - (damped[0] - mpmath.exp(-1) * second)) < 1e-35
+
+
+def test_figure4_plateau_run_matches_reference():
+    # the greedy run behind figure 4's N = 40, J/Gamma = 50 cell, replayed at 40 digits
+    dec = diagonalize(build_sector_hamiltonian(ChainSpec(40)))
+    noise = NoiseParams(GAMMA_50)
+    run = greedy_run(dec, noise=noise, step_success_tol=analysis.FIG4_STOP_TOL, l_max=100_000)
+    assert run.records[-1].joint_failure == p_infinity_exact(dec, noise, analysis.FIG4_STOP_TOL)
+    reference = mp_reference.Reference(40).failure([r.interval for r in run.records], GAMMA_50)
+    assert len(reference) == len(run.records) > 100
     for record, p in zip(run.records, reference):
         assert abs(record.joint_failure - float(p)) < FAILURE_TOL, record.index
