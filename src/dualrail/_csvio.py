@@ -15,6 +15,9 @@ import hashlib
 import io
 import sys
 
+# The line boundaries of str.splitlines: a header value holding any of them would split its line.
+LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
 
 def format_value(v) -> str:
     return format(v, ".17g") if isinstance(v, float) else str(v)
@@ -23,7 +26,7 @@ def format_value(v) -> str:
 def render_csv(columns, rows, metadata=None) -> str:
     header_lines = [f"# {key}={format_value(value)}" for key, value in (metadata or {}).items()]
     for line in header_lines:
-        if "\n" in line or "\r" in line:  # it would forge header or data lines
+        if not LINE_BREAKS.isdisjoint(line):  # it would forge header or data lines
             raise ValueError(f"a CSV header value cannot hold a line break: {line[2:]!r}")
     rows = iter(rows)
     first = next(rows, None)

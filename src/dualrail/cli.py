@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import analysis, oracle, protocol
-from ._csvio import render_csv, typed, write_text
+from ._csvio import LINE_BREAKS, render_csv, typed, write_text
 from .chain_core import (ChainSpec, PhaseGrid, SpectralDecomposition, build_sector_hamiltonian,
                          diagonalize, grid_points, require_physical_memory, time_scale)
 from .protocol import NoiseParams, Schedule
@@ -36,10 +36,10 @@ EXIT_VALIDATION = 2
 EXIT_THRESHOLD = 3
 EXIT_CONFORMANCE = 4
 
-# The line boundaries of str.splitlines, each written as its escape so that an error
-# message quoting a path or an argument stays one line.
+# Each line boundary written as its escape, so that an error message quoting a path or an
+# argument stays one line.
 _ESCAPED_BREAKS = str.maketrans({c: c.encode("unicode_escape").decode("ascii")
-                                 for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+                                 for c in LINE_BREAKS})
 
 # Peak memory of one output row, run through rendered CSV, as peak-RSS growth in a fresh
 # CPython 3.11 (x86-64) process, ns columns on: 368 B per `amplitude` grid point (at 10^6
@@ -110,6 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     return parser
 
+
+# The one parser of ``main``: it reads no argv, config or input, so it is built with the
+# imports, and each parse_args call starts from a fresh namespace.
+_PARSER = build_parser()
 
 # Config-only list inputs, by command, with the type of their entries.
 _CONFIG_LISTS = {"fit": {"n_values": int, "p_values": float}}
@@ -298,10 +302,9 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     """Run one command: the only writer of its output (stdout or --out) and of its error line."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _read_config(parser, args)
+        args = _PARSER.parse_args(argv)
+        cfg = _read_config(_PARSER, args)
         text, code = _COMMANDS[args.command](cfg)
         if cfg.get("out"):
             write_text(cfg["out"], text)

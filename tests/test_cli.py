@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualrail import analysis, cli, protocol
-from dualrail._csvio import format_value, render_csv
+from dualrail._csvio import LINE_BREAKS, format_value, render_csv
 from dualrail.chain_core import (ChainSpec, build_sector_hamiltonian, diagonalize, grid_points,
                                  time_scale)
 from dualrail.noise import NoiseParams
@@ -173,7 +173,10 @@ class TestProtocol:
         rows = [l for l in out.splitlines() if l and not l.startswith(("#", "l,"))]
         assert len(rows) == 2
 
-    @pytest.mark.parametrize("brk", ["\n", "\r"], ids=["LF", "CR"])
+    # every line boundary of str.splitlines
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"],
+                             ids=["LF", "CR", "VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"])
     def test_line_break_in_schedule_path_forges_no_header_line(self, capsys, tmp_path, brk):
         # the path is written into the '# schedule=' header line
         path = tmp_path / f"sched{brk}l,tau_l_natural,FAKE{brk}1.json"
@@ -668,6 +671,10 @@ class TestCsvOutput:
         assert digest_line == f"# digest=sha256:{hashlib.sha256(expected.encode()).hexdigest()}"
         assert generated_line.startswith("# generated=")
 
+    def test_line_breaks_are_the_splitlines_boundaries(self):
+        assert LINE_BREAKS == {c for c in map(chr, range(sys.maxunicode + 1))
+                               if len(f"a{c}b".splitlines()) == 2}
+
     def test_render_csv_empty_table_is_the_header_line(self):
         text = render_csv(("t_natural", "p_transfer"), [], {"n": 3})
         meta_line, digest_line, _, data = text.split("\n", 3)
@@ -781,6 +788,43 @@ class TestOptionSurface:
                       for s in action.option_strings}
             for command in OPTIONS
         }
+
+
+class TestSharedParser:
+    """``main`` parses every call with one parser built at import; no call leaves state in it."""
+
+    def calls(self, tmp_path):
+        unknown_key = tmp_path / "unknown.json"
+        unknown_key.write_text(json.dumps({"n": 4, "lmax": 2}))
+        hostile = tmp_path / "hostile.json"
+        hostile.write_text(json.dumps({"n": 5, "p_target": math.nan}))
+        return [*((command, *argv) for command, argv in VALID_ARGV.items()),
+                ("amplitude", "--n", "6", "--t-max", "2", "--out", str(tmp_path / "out.csv")),
+                ("protocol", "--n", "5", "--bogus"),
+                ("optimize", "--config", str(unknown_key)),
+                ("protocol", "--config", str(hostile)),
+                ("amplitude", "--n", "4", "--dt", "nan"),
+                ("protocol", "--n", "10", "--p-target", "1e-9", "--l-max", "2")]
+
+    def outcome(self, capsys, tmp_path, argv):
+        """Exit code, stdout, stderr and --out file of one call, '# generated=' lines dropped."""
+        out_path = tmp_path / "out.csv"
+        out_path.unlink(missing_ok=True)
+        code, out, err = run_cli(capsys, *argv)
+        written = out_path.read_text(encoding="utf-8") if out_path.exists() else None
+        return code, data_section(out), err, written and data_section(written)
+
+    def test_each_call_matches_a_fresh_parser(self, capsys, monkeypatch, tmp_path):
+        shared = cli._PARSER
+        codes = []
+        for _ in range(2):
+            for argv in self.calls(tmp_path):
+                monkeypatch.setattr(cli, "_PARSER", shared)
+                got = self.outcome(capsys, tmp_path, argv)
+                monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+                assert got == self.outcome(capsys, tmp_path, argv), argv
+                codes.append(got[0])
+        assert codes == 2 * ([0] * 7 + [2, 2, 2, 2, 3])
 
 
 class TestReadmeExamples:

@@ -4,15 +4,18 @@ A run state's private attributes belong to ``protocol``: no other module reads
 or writes them.  A spectrum's N x N ``modes`` have one reader,
 ``chain_core.transition_amplitude``; everything else needs only the end rows.
 Every refined scan steps at ``chain_core.SCAN_STEP``.  The CLI has one
-writer, ``cli.main``: its commands return their text and exit code.  One
-function, ``analysis._forked_map``, starts processes.
+writer, ``cli.main``: its commands return their text and exit code, and it
+parses every call with the one parser built at import.  One function,
+``analysis._forked_map``, starts processes.
 """
 
+import argparse
 import ast
 import importlib
 from pathlib import Path
 
 import dualrail
+from dualrail import cli
 from dualrail.chain_core import ChainSpec, build_sector_hamiltonian, diagonalize
 from dualrail.protocol import DualRailState
 
@@ -173,6 +176,22 @@ def test_a_second_writer_is_flagged():
               "def emit(t, out): write_text(out, t) if out else sys.stdout.write(t)\n"
               "def other(f, t): f.write(t)\n")
     assert writers("m.py", source) == ["m.emit", "m.err", "m.log", "m.main", "m.save"]
+
+
+def test_main_builds_no_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert [cli.main(["optimize", "--n", "4", "--l-max", "2"]),
+            cli.main(["optimize", "--n", "4", "--bogus"]),
+            cli.main(["optimize", "--n", "5", "--l-max", "1"])] == [0, 2, 0]
+    assert built == []
+    capsys.readouterr()
 
 
 PROCESS_MODULES = {"multiprocessing", "concurrent", "subprocess", "pty"}

@@ -277,9 +277,9 @@ class TestConformanceReport:
         monkeypatch.setattr(oracle, "full_hamiltonian", counted("full_hamiltonian", oracle.full_hamiltonian))
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         oracle.conformance_report()
-        # 21 block checks (7 lengths x 3 anisotropies) + 7 amplitude chains, whose
-        # eigensystems the 22 dual-rail runs (N = 2..5) reuse
-        assert calls == {"full_hamiltonian": 28, "eigh": 7}
+        # 21 block checks (7 lengths x 3 anisotropies), whose delta = 1 matrices give the
+        # 7 amplitude chains' eigensystems, which the 22 dual-rail runs (N = 2..5) reuse
+        assert calls == {"full_hamiltonian": 21, "eigh": 7}
 
     def test_amplitude_check_matches_public_amplitude(self):
         report = oracle.conformance_report()
