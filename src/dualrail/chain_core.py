@@ -202,11 +202,12 @@ def grid_points(t_lo: float, t_hi: float, step: float) -> int:
 
 
 # PhaseGrid.sums runs as a non-uniform FFT from this many modes on, else as the
-# factored table.  A greedy scan (G = 29N) costs the same both ways near N = 300;
-# at N = 1000 the table takes 4.2 ms, the FFT 1.6 (one BLAS thread).  The point
-# count picks no route: building and summing 600 points, the FFT takes 0.36 ms at
-# N = 300 and 0.96 ms at N = 1000, the table 0.41 and 1.21; the table wins only
-# below about 300 points, by at most 0.5 ms, on grids no default 300+ mode scan has.
+# factored table.  A greedy scan (G = 29N) sums in about the same time both ways near
+# N = 300, 0.33 ms by the table and 0.27 by the FFT; at N = 1000 the table takes
+# 3.5 ms, the FFT 1.1 (one BLAS thread).  The point count picks no route: building
+# and summing 600 points, the table takes 0.22 ms at N = 300 and 0.62 ms at N = 1000,
+# the FFT 0.37 and 0.96; the table wins below about 2,000 and 1,500 points, on grids
+# no default 300+ mode scan has (the shortest, first_peak's, has 15N >= 4,500).
 _NUFFT_MIN_MODES = 300
 # Gaussian kernel half-width in fine-grid cells, and the fine grid's oversampling
 _NUFFT_HALF_WIDTH = 15
@@ -247,6 +248,29 @@ def _fft_size(n: int, multiple: int) -> int:
     return best
 
 
+def _phase_tables(energies: np.ndarray, *grids: tuple[float, float, int]) -> list[np.ndarray]:
+    """For each (t0, dt, count) of ``grids``, exp(-i E_k (t0 + dt*j)) for j < count, (count x modes).
+
+    With R = ceil(sqrt(count)), A = ceil(count/R) and j = a*R + r, row j is
+    exp(-i E (t0 + dt*R*a)) * exp(-i E dt*r): the A + R factor rows of every
+    table come from one ``np.exp`` and meet in one broadcast product, so each
+    entry carries one rounding more than its own exponential, however large j is.
+    """
+    shapes, times = [], []
+    for t0, dt, count in grids:
+        r = math.isqrt(count - 1) + 1
+        a = -(-count // r)
+        shapes.append((a, r, count))
+        times += (t0 + dt * r * np.arange(a), dt * np.arange(r))
+    factors = np.exp(np.outer(np.concatenate(times), -1j * energies))
+    tables, start = [], 0
+    for a, r, count in shapes:
+        outer, inner = factors[start:start + a], factors[start + a:start + a + r]
+        tables.append((outer[:, None] * inner).reshape(a * r, -1)[:count])
+        start += a + r
+    return tables
+
+
 class PhaseGrid:
     """Phase sums S(t_j) = sum_k w_k exp(-i E_k t_j) on ``times`` t_j = t_lo + j*step, j < G.
 
@@ -264,8 +288,13 @@ class PhaseGrid:
       Q = ceil(G/B) and j = q*B + m,
       exp(-i E t_j) = base[q] * inner[m], where base = exp(-i E (t_lo + step*B*q))
       is (Q x modes) and inner = exp(-i E step*m) is (B x modes).  The grid
-      holds (B+Q)*modes exponentials, O(modes * sqrt(G)), and each ``sums`` is
-      one cache-resident matrix product, O(G * modes).
+      holds (B+Q)*modes entries, O(modes * sqrt(G)), and ``_phase_tables``
+      builds them from about 2 (sqrt(Q) + sqrt(B)) rows of exponentials,
+      O(modes * G**(1/4)): 7,200 instead of 30,600 on greedy's window at N = 200.
+      Every entry stays within 4u (1 + |E t_j|) of exp(-i E t_j), about the
+      direct exponential's own phase rounding (2.5u measured at N = 200 and
+      299, unit roundoff u).  Each ``sums`` is one cache-resident matrix
+      product, O(G * modes).
     * Otherwise a type-1 non-uniform FFT with Gaussian gridding (Greengard &
       Lee, SIAM Rev. 46, 443 (2004)).  With the centre index j0,
       S(t_{j0+m}) = sum_k c_k exp(-i omega_k m) for omega_k = E_k*step and
@@ -292,8 +321,8 @@ class PhaseGrid:
             return
         b = math.isqrt(n_points - 1) + 1
         q = -(-n_points // b)
-        self._base = np.exp(-1j * np.outer(t_lo + step * b * np.arange(q), energies))
-        self._inner = np.exp(-1j * np.outer(energies, step * np.arange(b)))
+        self._base, inner = _phase_tables(energies, (t_lo, step * b, q), (0.0, step, b))
+        self._inner = inner.T
 
     def _plan_nufft(self, energies: np.ndarray, t_lo: float, step: float) -> None:
         sigma, half = _NUFFT_OVERSAMPLING, _NUFFT_HALF_WIDTH

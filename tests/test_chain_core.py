@@ -14,6 +14,7 @@ from scipy.linalg import eigh_tridiagonal
 from dualrail import chain_core
 from dualrail.chain_core import (
     _NUFFT_MIN_MODES,
+    SCAN_STEP,
     ChainSpec,
     PhaseGrid,
     SectorHamiltonian,
@@ -201,6 +202,10 @@ class TestTransitionAmplitude:
             transition_amplitude(dec_cache(5), 5, 1, t)
 
 
+# (t_lo, t_hi) of the two refined scans: greedy's window and first_peak's grid
+_TABLE_SCANS = {"greedy": lambda n: (0.05 * n, 1.5 * n), "first_peak": lambda n: (SCAN_STEP, 0.75 * n)}
+
+
 class TestPhaseGrid:
     # 16/289 are perfect squares, 17/290/2000 leave a ragged last block; N = 299
     # is the largest chain the factored table sums, N = 300 and 400 go by the FFT
@@ -244,6 +249,49 @@ class TestPhaseGrid:
         phase = np.outer(t, dec.energies.astype(np.longdouble))
         exact = (np.cos(phase) - 1j * np.sin(phase)) @ w.astype(np.clongdouble)
         assert np.max(np.abs(grid.sums(w)[js] - exact)) <= 1e-14 * np.sum(np.abs(w))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
+    @pytest.mark.parametrize("n", [200, 299])
+    @pytest.mark.parametrize("scan", _TABLE_SCANS)
+    def test_table_sums_match_extended_precision(self, dec_cache, rng, n, scan):
+        # the table route on greedy's window and first_peak's grid, at both edges and a
+        # random sample: random weights are within 6e-14 * sum|w| (3.0e-14 measured),
+        # and each mode alone within 4u (1 + |E t|) of exp(-i E t), about the direct
+        # exponential's own phase rounding (2.2u with one exponential per entry, 2.5u
+        # with square-root-many); rows built as running products or powers drift with
+        # the row index, to 7-75u, though their random-weight sums pass the 6e-14
+        dec = dec_cache(n)
+        (t_lo, t_hi), step = _TABLE_SCANS[scan](n), SCAN_STEP
+        grid = PhaseGrid(dec.energies, t_lo, t_hi, step)
+        g = len(grid.times)
+        assert not grid._fft_size
+        js = np.concatenate([np.arange(50), np.arange(g - 50, g), rng.integers(0, g, 100)])
+        t = np.longdouble(t_lo) + np.longdouble(step) * js.astype(np.longdouble)
+        phase = np.outer(t, dec.energies.astype(np.longdouble))
+        exact = np.cos(phase) - 1j * np.sin(phase)
+        w = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert np.max(np.abs(grid.sums(w)[js] - exact @ w.astype(np.clongdouble))) <= 6e-14 * np.sum(np.abs(w))
+        modes = np.array([grid.sums(unit)[js] for unit in np.eye(n)]).T
+        bound = 4.0 * 2.0**-53 * (1.0 + np.abs(phase))
+        assert np.all(np.abs(modes - exact) <= bound)
+
+    @pytest.mark.parametrize("scan", _TABLE_SCANS)
+    def test_table_builds_from_square_root_many_exponentials(self, dec_cache, monkeypatch, scan):
+        # the factored table holds (B + Q) N entries, 30,600 and 22,000 at N = 200; each
+        # factor comes from about 2 sqrt(B) and 2 sqrt(Q) rows of exponentials, 7,200 and 6,000
+        n, exp, counted = 200, np.exp, []
+
+        def counting(x, *args, **kwargs):
+            counted.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(chain_core.np, "exp", counting)
+        grid = PhaseGrid(dec_cache(n).energies, *_TABLE_SCANS[scan](n), SCAN_STEP)
+        g = len(grid.times)
+        b = math.isqrt(g - 1) + 1
+        q = -(-g // b)
+        assert not grid._fft_size
+        assert 3 * sum(counted) <= (b + q) * n
 
     @pytest.mark.parametrize("shift", [1e20, 1e300])
     def test_fft_sums_stay_finite_for_huge_energies(self, dec_cache, shift):
