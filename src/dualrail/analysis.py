@@ -32,18 +32,25 @@ HBAR_OVER_KB_NS_K = 7.6382e-3
 _COUPLING_CHECK = "coupling must be finite and positive, got {kelvin} K"
 
 
-def _times_hbar_over_kb(x: float, kelvin: float, check: str, overflow: str) -> float:
-    """x * hbar/k_B / kelvin; the message templates are formatted only on failure."""
+def _times_hbar_over_kb(x, kelvin: float, check: str, overflow: str):
+    """x * hbar/k_B / kelvin, x a float or an array; the message templates are formatted only
+    on failure, an array's for its first value whose result is not finite."""
     if not (math.isfinite(kelvin) and kelvin > 0):
         raise ValueError(check.format(kelvin=kelvin))
-    value = x * HBAR_OVER_KB_NS_K / kelvin
-    if not math.isfinite(value):
-        raise ValueError(overflow.format(x=x, kelvin=kelvin))
+    if isinstance(x, np.ndarray):
+        with np.errstate(over="ignore"):
+            value = x * HBAR_OVER_KB_NS_K / kelvin
+        bad = x[~np.isfinite(value)].tolist()
+    else:  # per-row callers: no numpy call on the scalar path
+        value = x * HBAR_OVER_KB_NS_K / kelvin
+        bad = [] if math.isfinite(value) else [x]
+    if bad:
+        raise ValueError(overflow.format(x=bad[0], kelvin=kelvin))
     return value
 
 
-def natural_time_to_ns(t_natural: float, coupling_kelvin: float) -> float:
-    """Convert a time in hbar/J units to ns, given J/k_B in Kelvin."""
+def natural_time_to_ns(t_natural, coupling_kelvin: float):
+    """Convert a time (a float or an array) in hbar/J units to ns, given J/k_B in Kelvin."""
     return _times_hbar_over_kb(t_natural, coupling_kelvin, _COUPLING_CHECK,
                                "time {x} hbar/J in ns is not finite at J/k_B = {kelvin} K")
 

@@ -216,7 +216,7 @@ _NUFFT_OVERSAMPLING = 2
 _INV_TWO_PI = (0.15915494309189535, -9.839338337591243e-18)
 
 
-def _two_product(a, b):
+def two_product(a, b):
     """(p, e) with p = fl(a*b) and p + e = a*b exactly (Dekker's product, Veltkamp's split)."""
     p = a * b
     a_hi, a_lo = _split(a)
@@ -277,9 +277,9 @@ class PhaseGrid:
     The one time grid of every scan, G = ``grid_points(t_lo, t_hi, step)``,
     and the one owner of its peaks: ``peaks`` finds the local maxima of a scan
     and ``refine`` polishes one of them, so a caller keeps only its pick rule.
-    The grid holds the ``_TaylorBasis`` of its step for ``refine``, 25-47 us to
-    build at N = 50-1000 (one 2-vCPU Xeon core), so a scan that never refines
-    pays nothing measurable for it.
+    The grid builds the ``_TaylorBasis`` of its step on its first ``refine``,
+    about 44 us at N = 10-200 (one 2-vCPU Xeon core), so a scan that never
+    refines, such as the 'amplitude' curve, does not build it.
 
     The (G x modes) table exp(-i E t_j) is never formed; ``sums`` takes one of
     two routes, chosen here from the mode count alone:
@@ -314,7 +314,7 @@ class PhaseGrid:
         require_finite_phases(energies, max(abs(t_lo), abs(t_hi)))
         self.times = t_lo + step * np.arange(n_points)
         self._energies, self._t_lo, self._t_hi, self._step = energies, t_lo, t_hi, step
-        self._taylor = _TaylorBasis(energies, step)
+        self._taylor = None  # built by the first refine
         self._fft_size = 0
         if len(energies) >= _NUFFT_MIN_MODES:
             self._plan_nufft(energies, t_lo, step)
@@ -331,10 +331,10 @@ class PhaseGrid:
         tau = math.pi * half / ((2 * centre) ** 2 * sigma * (sigma - 0.5))
         # omega_k in fine-grid cells, u = E*step*M/(2 pi), as hi + lo: its whole
         # cells and its fraction, the fraction exact to 1e-16 while u < 2**52
-        s, s_err = _two_product(step, float(m))
-        k, k_err = _two_product(s, _INV_TWO_PI[0])
+        s, s_err = two_product(step, float(m))
+        k, k_err = two_product(s, _INV_TWO_PI[0])
         k_err += s * _INV_TWO_PI[1] + s_err * _INV_TWO_PI[0]
-        u, u_err = _two_product(energies, k)
+        u, u_err = two_product(energies, k)
         whole = np.floor(u)
         frac = (u - whole) + (u_err + energies * k_err)
         carry = np.floor(frac)  # -1 when u_err takes an integer u below it; large past 2**52 cells
@@ -346,7 +346,7 @@ class PhaseGrid:
         cells = (cell.astype(np.int64)[:, None] + offsets) % m
         self._slots = (2 * cells[:, :, None] + np.arange(2)).ravel()  # real, imag of each cell
         # exp(-i E t_lo) from E*t_lo as hi + lo, and exp(-i omega centre) = exp(-i pi u / sigma)
-        theta, theta_err = _two_product(energies, t_lo)
+        theta, theta_err = two_product(energies, t_lo)
         self._phase = (np.exp(-1j * theta) * np.exp(-1j * theta_err)
                        * np.exp(-1j * math.pi / sigma * (np.mod(cell, 2 * sigma) + frac)))
         j = np.arange(len(self.times)) - centre
@@ -387,6 +387,8 @@ class PhaseGrid:
         t_grid = float(self.times[j])
         a = max(self._t_lo, t_grid - self._step)
         b = min(self._t_hi, t_grid + self._step)
+        if self._taylor is None:
+            self._taylor = _TaylorBasis(self._energies, self._step)
         f = _phase_sum_objective(self._energies, w, decay)
         t, refined = _golden_max(f, a, b, self._taylor.model(w, decay, a, b))
         return (float(t), float(refined)) if refined > value else (t_grid, float(value))

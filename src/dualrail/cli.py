@@ -178,12 +178,11 @@ def _cmd_amplitude(cfg: dict) -> tuple[str, int]:
                             f"a t grid of {n_points:.4g} points")
     grid = PhaseGrid(dec.energies, 0.0, t_max, dt)
     probs = np.abs(grid.sums(dec.receiver * dec.sender)) ** 2
-    ns_suffix, to_ns = _time_columns(cfg)
-    columns = ("t_natural", *(f"t{s}" for s in ns_suffix), "p_transfer")
-    times = grid.times.tolist()
-    ns_cells = [[to_ns(t)[0] for t in times] for _ in ns_suffix]
+    j_kelvin = cfg.get("j_kelvin")
+    ns = () if j_kelvin is None else (analysis.natural_time_to_ns(grid.times, j_kelvin),)
+    columns = ("t_natural", *("t_ns" for _ in ns), "p_transfer")
     meta = {"command": "amplitude", "n": spec.n_sites, "delta": spec.anisotropy}
-    return render_csv(columns, zip(times, *ns_cells, probs.tolist()), meta), EXIT_OK
+    return render_csv(columns, np.column_stack((grid.times, *ns, probs)), meta), EXIT_OK
 
 
 def _l_max(cfg: dict) -> int:

@@ -72,6 +72,20 @@ class TestUnitConversions:
             analysis.gamma_to_natural(5e-324)
         assert analysis.natural_time_to_ns(0.0, 1e-320) == 0.0
 
+    def test_array_of_times_is_the_per_value_product(self):
+        times = np.linspace(0.0, 400.0, 40_001)
+        for kelvin in (20.0, 17.3, 3e-300):
+            got = analysis.natural_time_to_ns(times, kelvin)
+            assert [v.hex() for v in got.tolist()] == [
+                analysis.natural_time_to_ns(t, kelvin).hex() for t in times.tolist()]
+
+    def test_array_overflow_names_its_first_value(self):
+        # 0 converts at any coupling; 0.25 is the first time whose ns value overflows
+        assert_message(lambda: analysis.natural_time_to_ns(np.array([0.0, 0.25, 0.5]), 1e-320),
+                       "time 0.25 hbar/J in ns is not finite at J/k_B = 1e-320 K")
+        assert_message(lambda: analysis.natural_time_to_ns(np.array([0.0, 1.0]), -1.0),
+                       "coupling must be finite and positive, got -1.0 K")
+
     @given(
         x=st.floats(min_value=0.0, allow_infinity=False),
         kelvin=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),

@@ -222,6 +222,26 @@ class TestPhaseGrid:
         assert got.shape == grid.times.shape == (n_points,)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [10, 400])
+    def test_taylor_basis_is_built_by_the_first_refine(self, dec_cache, monkeypatch, n):
+        builds = []
+
+        class Counted(chain_core._TaylorBasis):
+            def __init__(self, *args):
+                builds.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(chain_core, "_TaylorBasis", Counted)
+        dec = dec_cache(n)
+        w = dec.receiver * dec.sender
+        grid = PhaseGrid(dec.energies, 0.0, 1.5 * n, 0.05)
+        values = np.abs(grid.sums(w)) ** 2
+        peaks = grid.peaks(values)
+        assert builds == []  # a scan alone, as 'amplitude' makes, builds no basis
+        for j in peaks[:3]:
+            grid.refine(w, 0.0, int(j), values[j])
+        assert len(builds) == 1
+
     @pytest.mark.parametrize("n", [400, 1000, 2000])
     def test_fft_sums_match_table(self, dec_cache, monkeypatch, rng, n):
         # the greedy window's grid, both ways, on random complex weights

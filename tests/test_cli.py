@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dualrail import analysis, cli, protocol
 from dualrail._csvio import LINE_BREAKS, format_value, render_csv
@@ -81,6 +82,30 @@ class TestAmplitude:
         )
         assert code == 0
         assert "t_natural,t_ns,p_transfer" in out
+
+    def test_ns_column_is_the_per_row_conversion(self, capsys):
+        code, out, _ = run_cli(capsys, "amplitude", "--n", "12", "--t-max", "40", "--dt", "0.01",
+                               "--j-kelvin", "17.3")
+        assert code == 0
+        lines = data_section(out)
+        rows = [line.split(",") for line in lines[lines.index("t_natural,t_ns,p_transfer") + 1:]]
+        assert len(rows) == 4001
+        assert [float(t_ns).hex() for _, t_ns, _ in rows] == [
+            analysis.natural_time_to_ns(float(t), 17.3).hex() for t, _, _ in rows]
+
+    def test_table_goes_to_render_csv_as_one_array(self, capsys, monkeypatch):
+        tables = []
+
+        def spy(columns, rows, metadata=None):
+            tables.append(rows)
+            return render_csv(columns, rows, metadata)
+
+        monkeypatch.setattr(cli, "render_csv", spy)
+        code, _, _ = run_cli(capsys, "amplitude", "--n", "5", "--t-max", "2", "--j-kelvin", "20")
+        assert code == 0
+        [table] = tables
+        assert isinstance(table, np.ndarray)
+        assert table.dtype == np.float64 and table.shape == (201, 3)
 
     def test_missing_n_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "amplitude")
@@ -628,6 +653,86 @@ def per_value_rows(lines):
     ]
 
 
+def array_lines(table):
+    """The data lines ``render_csv`` writes for a 2-D float array."""
+    text = render_csv([f"c{j}" for j in range(table.shape[1])], table)
+    return text.split("\n", 3)[3].splitlines()  # after the digest, timestamp and header
+
+
+def _power_of_ten_neighbours():
+    """The double nearest 10^k and three neighbours on each side, for each k the kernel takes."""
+    values = []
+    for k in range(-291, 309):
+        nearest = float(f"1e{k}")
+        values.append(nearest)
+        for toward in (0.0, math.inf):
+            v = nearest
+            for _ in range(3):
+                v = math.nextafter(v, toward)
+                values.append(v)
+    return values
+
+
+def _exact_ties():
+    """Exact ties, doubles of 18 significant digits ending in 5 that '%.17g' rounds half-even,
+    and doubles of exactly 17 digits."""
+    rng = np.random.default_rng(11)
+    values = [n + f for n in rng.integers(10**15, 2**51, 100).tolist() for f in (0.25, 0.5, 0.75)]
+    values += [n + 0.5 for n in rng.integers(2**51, 2**52, 100).tolist()]
+    values += [n + f for n in rng.integers(10**14, 10**15, 100).tolist() for f in (0.25, 0.5, 0.75)]
+    return values + [q / 2**24 for q in range(3, 17, 2)]  # ties scaled by 10^23, not a double
+
+
+# Doubles whose scaled product P lies within 2^-48 of a half-integer but on one side of it,
+# found by lattice reduction over (X, binade) pairs; without the tie margin the kernel
+# misrounds each of them.
+_NEAR_TIES = [float.fromhex(h) for h in (
+    "0x1.edac8039173c0p+532", "0x1.6e22db4568793p-247", "0x1.e735b3003e352p+455",
+    "0x1.e16ee5d60cf47p-785", "0x1.a999ddec72acap+599", "0x1.c8586f0912f1dp+734",
+    "0x1.ed11480eb4de0p+265", "0x1.e18d6d1c6d916p-620", "0x1.685f7683c20cdp-364",
+    "0x1.79e0d5979f4f3p+754", "0x1.4529a28d5c17ep+382", "0x1.b6c57169b81e7p-419",
+    "0x1.90529a37b7e22p+924", "0x1.9ed2f8bb00613p+1001", "0x1.6061245105274p+171",
+    "0x1.a5907b02eeb93p-312", "0x1.fc6c26f899dd1p-951", "0x1.d460f4fca1d37p-147",
+    "0x1.e702c23682ea6p-833", "0x1.88a4036fa081dp-691", "0x1.b18773d64ed24p-519",
+    "0x1.9507d80147609p+846", "0x1.e0d0d512664b8p-38", "0x1.a9075e961727fp+133")]
+
+FORMAT_FAMILIES = {
+    "power-of-ten-neighbours": _power_of_ten_neighbours,
+    "exact-ties": _exact_ties,
+    "near-ties": lambda: _NEAR_TIES,
+    # %g's switches between fixed and exponent notation, at X = -5/-4 and 16/17
+    "notation-switches": lambda: [1e-5, 1.5e-5, 9.5e-5, 0.0001, 0.00012345, 5e-4,
+                                  1.2345678901234567e16, 9.87654321e16, 1e17, 1.5e17],
+    "special-values": lambda: [0.0, math.inf, math.nan, 5e-324, 2.2250738585072009e-308,
+                               sys.float_info.min, sys.float_info.max, 1e-290,
+                               math.nextafter(1e-290, 0.0), 2.0**1023,
+                               math.nextafter(2.0**1023, 0.0)],
+    "1e22-1e23": lambda: [1e22, math.nextafter(1e22, math.inf), 1e23,
+                          math.nextafter(1e23, 0.0), math.nextafter(1e23, math.inf)],
+}
+
+
+# Run by a fresh interpreter: digests of the formatted vectors and of an 'amplitude' table,
+# then the dispatch targets that numpy has on.
+SIMD_PROBE = """
+import hashlib, pathlib, sys
+import numpy as np
+from dualrail import cli
+from dualrail._csvio import render_csv
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+work = pathlib.Path(sys.argv[1])
+values = np.load(work / "values.npy")
+undated = lambda text: "".join(l for l in text.splitlines(True) if not l.startswith("# generated="))
+print(hashlib.sha256(undated(render_csv(["x"], values[:, None])).encode()).hexdigest())
+assert cli.main(["amplitude", "--n", "200", "--out", str(work / "amplitude.csv")]) == 0
+print(hashlib.sha256(undated((work / "amplitude.csv").read_text()).encode()).hexdigest())
+print(" ".join(k for k in __cpu_dispatch__ if __cpu_features__.get(k)))
+"""
+
+
 class TestCsvOutput:
     @pytest.mark.parametrize("argv", [
         ("amplitude", "--n", "7", "--t-max", "4", "--dt", "0.01"),
@@ -661,15 +766,72 @@ class TestCsvOutput:
                 (2**60, 5e-324, np.float64(1 / 3)),
                 (0, 1e-300, 1e308),
                 (2**60, 0.1, 1 / 3)]
-        expected = "i,x,y\n" + "".join(",".join(map(format_value, row)) + "\n" for row in rows)
-        assert expected.splitlines()[1:3] == ["0,-0,0.10000000000000001",
-                                              "1152921504606846976,4.9406564584124654e-324,"
-                                              "0.33333333333333331"]
-        text = render_csv(("i", "x", "y"), iter(rows))
-        digest_line, generated_line, data = text.split("\n", 2)
-        assert data == expected
-        assert digest_line == f"# digest=sha256:{hashlib.sha256(expected.encode()).hexdigest()}"
-        assert generated_line.startswith("# generated=")
+        floats = [(0.0, -0.0, 0.1), (2.0**60, 5e-324, 1 / 3), (-12.5, 1e-300, 1e308),
+                  (math.inf, 0.1, math.nan), (1e16, -1e-5, 1e17)]
+
+        def expected_data(cells):
+            return "i,x,y\n" + "".join(",".join(map(format_value, row)) + "\n" for row in cells)
+
+        assert expected_data(rows).splitlines()[1:3] == [
+            "0,-0,0.10000000000000001",
+            "1152921504606846976,4.9406564584124654e-324,0.33333333333333331"]
+        # row tuples, and the array form of a table of floats
+        for table, cells in ((iter(rows), rows), (np.array(floats), floats)):
+            expected = expected_data(cells)
+            text = render_csv(("i", "x", "y"), table)
+            digest_line, generated_line, data = text.split("\n", 2)
+            assert data == expected
+            assert digest_line == f"# digest=sha256:{hashlib.sha256(expected.encode()).hexdigest()}"
+            assert generated_line.startswith("# generated=")
+
+    def test_array_matches_scalar_format_on_a_million_doubles(self):
+        # random bit patterns: every binade, both signs, subnormals, infinities and NaNs
+        bits = np.random.default_rng(20261020).integers(0, 2**64, 10**6, dtype=np.uint64)
+        table = bits.view(np.float64).reshape(-1, 2)
+        assert array_lines(table) == [f"{'%.17g' % a},{'%.17g' % b}" for a, b in table.tolist()]
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                      elements=st.floats()))
+    def test_array_matches_scalar_format_property(self, table):
+        assert array_lines(table) == [",".join("%.17g" % v for v in row) for row in table.tolist()]
+
+    # Each family below fails a kernel without one of its guards (checked on copies of
+    # ``_csvio`` with the guard removed): the neighbours of powers of ten one that takes X
+    # from the rounded product, or that lets P round onto 1e17; the near ties one without
+    # the tie margin; the special values one without the range test.
+    @pytest.mark.parametrize("family", sorted(FORMAT_FAMILIES))
+    def test_array_matches_scalar_format_on_named_families(self, family):
+        values = FORMAT_FAMILIES[family]()
+        values = np.array([*values, *(-v for v in values)])
+        assert array_lines(values[:, None]) == ["%.17g" % v for v in values.tolist()]
+
+    def test_bytes_do_not_depend_on_simd_dispatch(self, tmp_path):
+        # numpy's AVX-512 kernels off in a second process: np.log10 only seeds X, so the
+        # same vectors and an N = 200 'amplitude' table must give the same bytes.  It has
+        # power only on a host where those kernels were on.
+        rng = np.random.default_rng(5)
+        values = [rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)]
+        values += [np.array(family(), float) for family in FORMAT_FAMILIES.values()]
+        np.save(tmp_path / "values.npy", np.concatenate(values))
+        runs = []
+        for disabled in (None, "X86_V4 AVX512_ICL AVX512_SPR"):
+            env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1]),
+                   "OPENBLAS_NUM_THREADS": "1"}
+            env.pop("NPY_DISABLE_CPU_FEATURES", None)
+            if disabled:
+                env["NPY_DISABLE_CPU_FEATURES"] = disabled
+            runs.append(subprocess.run([sys.executable, "-c", SIMD_PROBE, str(tmp_path)],
+                                       capture_output=True, text=True, env=env, timeout=300))
+        default, reduced = runs
+        assert default.returncode == 0, default.stderr
+        if reduced.returncode and "NPY_DISABLE_CPU_FEATURES" in reduced.stderr:
+            pytest.skip(f"numpy rejects the setting: {reduced.stderr.strip().splitlines()[-1]}")
+        assert reduced.returncode == 0, reduced.stderr
+        *digests, features = default.stdout.splitlines()
+        *reduced_digests, reduced_features = reduced.stdout.splitlines()
+        print(f"dispatch targets on: [{features}], with the setting: [{reduced_features}]")
+        assert len(digests) == 2 and reduced_digests == digests
 
     def test_line_breaks_are_the_splitlines_boundaries(self):
         assert LINE_BREAKS == {c for c in map(chr, range(sys.maxunicode + 1))
