@@ -5,18 +5,17 @@ ValueError), a '# digest=sha256:...' line over the data section, one
 '# generated=...' timestamp line (the only non-reproducible byte in the
 file), then the column header and rows.  UTF-8, LF newlines.
 
-A table takes one of two forms, and either way a float cell is Python's
-'%.17g' text of it and any other cell its str:
+A table is any 2-D numeric table (an array or rows of numbers), read once as
+float64; each cell is Python's '%.17g' text of its value, which for an int
+below 2^53 is its str.  Each block of ``_ARRAY_BLOCK`` rows goes to one
+all-'%.17g' '%' template when it has fewer than ``_KERNEL_MIN_ROWS`` rows,
+else to the numpy kernel below, which writes the same bytes but pays about
+0.5 ms a block.  Per block (one BLAS thread, 2-vCPU Xeon VM) the template took
+0.85, 0.93 and 0.99 of the kernel's time at 512 rows of 3, 5 and 7 columns
+and 1.10-1.24 of it at 768: protocol runs and figures (a few hundred rows)
+take the template, the 'amplitude' curve's thousands of rows the kernel.
 
-* Row tuples, written by one '%' template per table that is typed by the
-  first row: '%.17g' for a float, '%s' otherwise.  Protocol runs, figures
-  and fits: at most a few hundred rows of mixed int, float and str, where
-  the array kernel's fixed cost of about 0.5 ms would lose.
-* A 2-D float64 array, formatted column-wise in numpy, ``_ARRAY_BLOCK`` rows
-  at a time: the 'amplitude' curve's tens of thousands of rows, where the
-  template spends 0.5-1.2 us a value in Python's correctly rounded dtoa.
-
-The array kernel scales each |x| to P = |x| 10^(16-X) as a double-double:
+The kernel scales each |x| to P = |x| 10^(16-X) as a double-double:
 the exact (Dekker) product of |x| with the hi part of a power-of-ten table,
 plus |x| lo, where hi and lo are rounded from Python integers and hi + lo is
 10^(16-X) to a relative 1.4 u^2 (u = 2^-53).  X starts from floor(log10 |x|)
@@ -47,8 +46,10 @@ from .chain_core import two_product
 # The line boundaries of str.splitlines: a header value holding any of them would split its line.
 LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
-# Rows formatted per numpy pass: it bounds the pass's temporaries at about 2 MB.
+# Rows formatted per pass: it bounds the kernel's temporaries at about 2 MB.
 _ARRAY_BLOCK = 4096
+# The shortest block the kernel formats; a shorter one goes to the '%.17g' template.
+_KERNEL_MIN_ROWS = 512
 # The kernel's range: 1e-290 <= |x| < 2^1023 has -290 <= X <= 307, so 10^(16-X) needs
 # -292 <= k <= 307 when log10's first guess is one off.  (Dekker's split of a larger
 # value overflows.)
@@ -69,23 +70,18 @@ def format_value(v) -> str:
     return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
-def render_csv(columns, rows, metadata=None) -> str:
-    """The CSV text of ``rows``: an iterable of tuples, or a 2-D float64 array."""
+def render_csv(columns, table, metadata=None) -> str:
+    """The CSV text of ``table``, a 2-D numeric table of ``len(columns)`` columns."""
     header_lines = [f"# {key}={format_value(value)}" for key, value in (metadata or {}).items()]
     for line in header_lines:
         if not LINE_BREAKS.isdisjoint(line):  # it would forge header or data lines
             raise ValueError(f"a CSV header value cannot hold a line break: {line[2:]!r}")
+    table = np.asarray(table, float).reshape(-1, len(columns))
+    template = ",".join(["%.17g"] * len(columns)) + "\n"
+    blocks = (table[start:start + _ARRAY_BLOCK] for start in range(0, len(table), _ARRAY_BLOCK))
     lines = [",".join(columns) + "\n"]
-    if isinstance(rows, np.ndarray):
-        lines += (_format_block(rows[start:start + _ARRAY_BLOCK])
-                  for start in range(0, len(rows), _ARRAY_BLOCK))
-    else:
-        rows = iter(rows)
-        first = next(rows, None)
-        if first is not None:
-            template = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
-            lines.append(template % first)
-            lines += map(template.__mod__, rows)
+    lines += (_format_block(block) if len(block) >= _KERNEL_MIN_ROWS
+              else template * len(block) % tuple(block.ravel().tolist()) for block in blocks)
     data_section = "".join(lines)
     digest = hashlib.sha256(data_section.encode("utf-8")).hexdigest()
     now = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
@@ -94,7 +90,7 @@ def render_csv(columns, rows, metadata=None) -> str:
 
 
 def _format_block(block: np.ndarray) -> str:
-    """The CSV rows of a (rows x columns) float64 block."""
+    """The CSV rows of a (rows x columns) float64 block, written by the kernel."""
     n, m = block.shape
     cells = np.zeros((n, m, _CELL_WORDS), "<u8")
     for j in range(m):

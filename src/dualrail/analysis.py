@@ -41,7 +41,7 @@ def _times_hbar_over_kb(x, kelvin: float, check: str, overflow: str):
         with np.errstate(over="ignore"):
             value = x * HBAR_OVER_KB_NS_K / kelvin
         bad = x[~np.isfinite(value)].tolist()
-    else:  # per-row callers: no numpy call on the scalar path
+    else:  # a scalar (a damping rate, a single time): no numpy call
         value = x * HBAR_OVER_KB_NS_K / kelvin
         bad = [] if math.isfinite(value) else [x]
     if bad:

@@ -217,7 +217,10 @@ _INV_TWO_PI = (0.15915494309189535, -9.839338337591243e-18)
 
 
 def two_product(a, b):
-    """(p, e) with p = fl(a*b) and p + e = a*b exactly (Dekker's product, Veltkamp's split)."""
+    """(p, e) with p = fl(a*b) and p + e = a*b exactly (Dekker's product, Veltkamp's split),
+    for |a|, |b|, |a*b| < 2^1023 and a*b = 0 or |a*b| >= 2^-969: past the top a split or a
+    partial product overflows (a near the largest double gives a NaN e), below it one underflows.
+    """
     p = a * b
     a_hi, a_lo = _split(a)
     b_hi, b_lo = _split(b)
@@ -225,7 +228,9 @@ def two_product(a, b):
 
 
 def _split(a):
-    """a = hi + lo, hi holding the top 26 bits of a's significand; scaled so it cannot overflow."""
+    """a = hi + lo, hi holding the top 26 bits of a's significand, for finite |a| < 2^1023:
+    split on the mantissa, nothing overflows but hi, which rounds up to 2^1024 for an |a|
+    within a relative 2^-27 of it."""
     mantissa, exponent = np.frexp(a)
     c = 134217729.0 * mantissa  # 2**27 + 1
     hi = c - (c - mantissa)

@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 validation error, 3 failure threshold not reached,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -42,11 +43,12 @@ _ESCAPED_BREAKS = str.maketrans({c: c.encode("unicode_escape").decode("ascii")
                                  for c in LINE_BREAKS})
 
 # Peak memory of one output row, run through rendered CSV, as peak-RSS growth in a fresh
-# CPython 3.11 (x86-64) process, ns columns on: 368 B per `amplitude` grid point (at 10^6
-# rows) and 751 B per damped uniform `protocol` measurement (slope from 10^5 to 4 x 10^5
-# rows), rounded up.
-_AMPLITUDE_POINT_BYTES = 400
-_MEASUREMENT_BYTES = 850
+# CPython 3.11 (x86-64) process, ns columns on: 226 B per `amplitude` grid point (at 10^6
+# rows, N = 50; 245 B at N = 1000) and per `protocol` measurement 582 B for a damped
+# uniform schedule (slope from 10^5 to 4 x 10^5 rows) and up to 734 B for greedy (N = 12
+# to 1000, slopes over 4 x 10^4 to 10^5 rows), rounded up.
+_AMPLITUDE_POINT_BYTES = 250
+_MEASUREMENT_BYTES = 800
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,14 +161,6 @@ def _chain(cfg: dict) -> tuple[ChainSpec, SpectralDecomposition]:
     return spec, diagonalize(build_sector_hamiltonian(spec))
 
 
-def _time_columns(cfg: dict):
-    """(header suffix, converter) for the optional ns column."""
-    j_kelvin = cfg.get("j_kelvin")
-    if j_kelvin is None:
-        return (), lambda t: ()
-    return ("_ns",), lambda t: (analysis.natural_time_to_ns(t, j_kelvin),)
-
-
 def _cmd_amplitude(cfg: dict) -> tuple[str, int]:
     spec, dec = _chain(cfg)
     dt = cfg.get("dt", 0.01)
@@ -231,24 +225,20 @@ def _cmd_protocol(cfg: dict) -> tuple[str, int]:
                     else Schedule.from_json(source))
         run = protocol.run_schedule(dec, schedule, noise)
 
-    ns_suffix, to_ns = _time_columns(cfg)
-    columns = (
-        "l",
-        "tau_l_natural", *(f"tau_l{s}" for s in ns_suffix),
-        "t_abs_natural", *(f"t_abs{s}" for s in ns_suffix),
-        "step_success", "P_l",
-    )
-    rows = [
-        (r.index, r.interval, *to_ns(r.interval), r.absolute_time, *to_ns(r.absolute_time),
-         r.step_success, r.joint_failure)
-        for r in run.records
-    ]
+    columns = ("l", "tau_l_natural", "t_abs_natural", "step_success", "P_l")
+    cells = itertools.chain.from_iterable(run.records)  # each record's fields, in column order
+    table = np.fromiter(cells, float).reshape(-1, len(columns))
+    j_kelvin = cfg.get("j_kelvin")
+    if j_kelvin is not None:  # tau_l_ns and t_abs_ns after their natural-unit columns
+        ns = analysis.natural_time_to_ns(table[:, 1:3], j_kelvin)
+        table = np.insert(table, [2, 3], ns, axis=1)
+        columns = ("l", "tau_l_natural", "tau_l_ns", "t_abs_natural", "t_abs_ns", *columns[3:])
     meta = {"command": "protocol", "n": spec.n_sites, "schedule": source,
             "gamma_natural": noise.gamma_1}
     if not noise.symmetric:
         meta["gamma2_natural"] = noise.gamma_2
         meta["qubit"] = "balanced"
-    return render_csv(columns, rows, meta), EXIT_OK
+    return render_csv(columns, table, meta), EXIT_OK
 
 
 def _cmd_optimize(cfg: dict) -> tuple[str, int]:

@@ -224,8 +224,7 @@ def _protocol_full(eigensystem, n: int, qubit: LogicalQubit, intervals: Sequence
         fidelity = float(abs(overlap) ** 2 / step_success) if step_success > 1e-300 else 0.0
         total_success += step_success
 
-        psi = psi.copy()
-        psi[:, success_cols] = 0.0
+        psi[:, success_cols] = 0.0  # psi is _controlled_flip's own array
         steps.append(
             FullStepRecord(
                 index=len(steps) + 1,

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -402,3 +403,18 @@ class TestFirstPeak:
         dec = diagonalize(build_sector_hamiltonian(ChainSpec(3, anisotropy=100)))
         with pytest.raises(ValueError, match="no interior maximum"):
             first_peak(dec)
+
+
+class TestTwoProduct:
+    @pytest.mark.parametrize("k", [291, 292])
+    def test_exact_at_the_largest_value_the_csv_kernel_scales(self, k):
+        # the CSV kernel takes |x| < 2^1023 and multiplies it by 10^(16 - X), X = 307 or,
+        # with log10's first guess one off, 308
+        a = np.array([math.nextafter(2.0**1023, 0.0), -math.nextafter(2.0**1023, 0.0)])
+        b = np.full(2, 1 / 10**k)  # an int / int quotient is correctly rounded
+        with np.errstate(all="raise"):
+            p, e = chain_core.two_product(a, b)
+        assert np.all(np.isfinite(p)) and np.all(np.isfinite(e))
+        for ai, bi, pi, ei in zip(a.tolist(), b.tolist(), p.tolist(), e.tolist()):
+            assert Fraction(pi) + Fraction(ei) == Fraction(ai) * Fraction(bi)
+            assert pi == ai * bi

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dualrail import analysis, cli, protocol
+from dualrail import _csvio, analysis, cli, protocol
 from dualrail._csvio import LINE_BREAKS, format_value, render_csv
 from dualrail.chain_core import (ChainSpec, build_sector_hamiltonian, diagonalize, grid_points,
                                  time_scale)
@@ -96,16 +96,19 @@ class TestAmplitude:
     def test_table_goes_to_render_csv_as_one_array(self, capsys, monkeypatch):
         tables = []
 
-        def spy(columns, rows, metadata=None):
-            tables.append(rows)
-            return render_csv(columns, rows, metadata)
+        def spy(columns, table, metadata=None):
+            tables.append(table)
+            return render_csv(columns, table, metadata)
 
         monkeypatch.setattr(cli, "render_csv", spy)
-        code, _, _ = run_cli(capsys, "amplitude", "--n", "5", "--t-max", "2", "--j-kelvin", "20")
-        assert code == 0
-        [table] = tables
-        assert isinstance(table, np.ndarray)
-        assert table.dtype == np.float64 and table.shape == (201, 3)
+        for argv, shape in ((("amplitude", "--n", "5", "--t-max", "2", "--j-kelvin", "20"), (201, 3)),
+                            (("protocol", "--n", "5", "--l-max", "9", "--j-kelvin", "20"), (9, 7))):
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == 0
+            table = tables.pop()
+            assert isinstance(table, np.ndarray)
+            assert table.dtype == np.float64 and table.shape == shape
+        assert tables == []
 
     def test_missing_n_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "amplitude")
@@ -212,6 +215,18 @@ class TestProtocol:
         assert_validation_error(code, out, err)
         assert "line break" in err
         assert not out_path.exists()
+
+    # at J/k_B = 1e-306 K a time past about 23,530 hbar/J is not finite in ns: the error names
+    # the first such time row by row, tau_l before t_abs
+    @pytest.mark.parametrize("intervals, first", [([1.0, 30000.0], 30000.0),
+                                                  ([20000.0, 5000.0, 1e5], 25000.0)])
+    def test_ns_overflow_names_the_first_time_row_by_row(self, capsys, tmp_path, intervals, first):
+        path = tmp_path / "sched.json"
+        path.write_text(json.dumps({"intervals": intervals}))
+        code, out, err = run_cli(capsys, "protocol", "--n", "4", "--schedule", str(path),
+                                 "--j-kelvin", "1e-306")
+        assert_validation_error(code, out, err)
+        assert err == f"error: time {first} hbar/J in ns is not finite at J/k_B = 1e-306 K\n"
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
     def test_non_finite_schedule_file_is_validation_error(self, capsys, tmp_path, bad):
@@ -659,6 +674,11 @@ def array_lines(table):
     return text.split("\n", 3)[3].splitlines()  # after the digest, timestamp and header
 
 
+def kernel_lines(table):
+    """The data lines the numpy kernel writes for a 2-D float array, whatever its length."""
+    return _csvio._format_block(table).splitlines()
+
+
 def _power_of_ten_neighbours():
     """The double nearest 10^k and three neighbours on each side, for each k the kernel takes."""
     values = []
@@ -718,7 +738,7 @@ SIMD_PROBE = """
 import hashlib, pathlib, sys
 import numpy as np
 from dualrail import cli
-from dualrail._csvio import render_csv
+from dualrail._csvio import _format_block
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 except ImportError:  # numpy 1.x
@@ -726,7 +746,7 @@ except ImportError:  # numpy 1.x
 work = pathlib.Path(sys.argv[1])
 values = np.load(work / "values.npy")
 undated = lambda text: "".join(l for l in text.splitlines(True) if not l.startswith("# generated="))
-print(hashlib.sha256(undated(render_csv(["x"], values[:, None])).encode()).hexdigest())
+print(hashlib.sha256(_format_block(values[:, None]).encode()).hexdigest())
 assert cli.main(["amplitude", "--n", "200", "--out", str(work / "amplitude.csv")]) == 0
 print(hashlib.sha256(undated((work / "amplitude.csv").read_text()).encode()).hexdigest())
 print(" ".join(k for k in __cpu_dispatch__ if __cpu_features__.get(k)))
@@ -737,7 +757,9 @@ class TestCsvOutput:
     @pytest.mark.parametrize("argv", [
         ("amplitude", "--n", "7", "--t-max", "4", "--dt", "0.01"),
         ("amplitude", "--n", "7", "--t-max", "4", "--dt", "0.01", "--j-kelvin", "20"),
+        ("amplitude", "--n", "3", "--t-max", "1", "--dt", "0.01"),  # 101 rows: the template
         ("protocol", "--n", "12", "--l-max", "15"),
+        ("protocol", "--n", "12", "--l-max", "600", "--schedule", "uniform", "--j-kelvin", "20"),
         ("protocol", "--n", "12", "--l-max", "15", "--schedule", "uniform"),
         ("protocol", "--n", "12", "--schedule", "SCHEDULE"),
         ("protocol", "--n", "12", "--l-max", "15", "--gamma", "0.003"),
@@ -762,10 +784,11 @@ class TestCsvOutput:
         assert f"# digest=sha256:{digest}" in lines
 
     def test_render_csv_matches_format_value(self):
+        # rows of numbers are read as float64: an int cell below 2^53 prints as its str
         rows = [(0, -0.0, np.float64(0.1)),
-                (2**60, 5e-324, np.float64(1 / 3)),
+                (2**52, 5e-324, np.float64(1 / 3)),
                 (0, 1e-300, 1e308),
-                (2**60, 0.1, 1 / 3)]
+                (2**53 - 1, 0.1, 1 / 3)]
         floats = [(0.0, -0.0, 0.1), (2.0**60, 5e-324, 1 / 3), (-12.5, 1e-300, 1e308),
                   (math.inf, 0.1, math.nan), (1e16, -1e-5, 1e17)]
 
@@ -774,9 +797,8 @@ class TestCsvOutput:
 
         assert expected_data(rows).splitlines()[1:3] == [
             "0,-0,0.10000000000000001",
-            "1152921504606846976,4.9406564584124654e-324,0.33333333333333331"]
-        # row tuples, and the array form of a table of floats
-        for table, cells in ((iter(rows), rows), (np.array(floats), floats)):
+            "4503599627370496,4.9406564584124654e-324,0.33333333333333331"]
+        for table, cells in ((rows, rows), (np.array(floats), floats)):
             expected = expected_data(cells)
             text = render_csv(("i", "x", "y"), table)
             digest_line, generated_line, data = text.split("\n", 2)
@@ -784,17 +806,36 @@ class TestCsvOutput:
             assert digest_line == f"# digest=sha256:{hashlib.sha256(expected.encode()).hexdigest()}"
             assert generated_line.startswith("# generated=")
 
+    @pytest.mark.parametrize("size", ["below-kernel-minimum", "kernel-minimum", "block-plus-one"])
+    def test_block_size_picks_the_formatter(self, monkeypatch, size):
+        minimum, block = _csvio._KERNEL_MIN_ROWS, _csvio._ARRAY_BLOCK
+        rows, kernel_blocks = {"below-kernel-minimum": (minimum - 1, []),
+                               "kernel-minimum": (minimum, [minimum]),
+                               "block-plus-one": (block + 1, [block])}[size]  # 1-row tail: template
+        blocks = []
+
+        def spy(block):
+            blocks.append(len(block))
+            return format_block(block)
+
+        format_block = _csvio._format_block
+        monkeypatch.setattr(_csvio, "_format_block", spy)
+        bits = np.random.default_rng(rows).integers(0, 2**64, 3 * rows, dtype=np.uint64)
+        table = bits.view(np.float64).reshape(rows, 3)
+        assert array_lines(table) == [",".join("%.17g" % v for v in row) for row in table.tolist()]
+        assert blocks == kernel_blocks
+
     def test_array_matches_scalar_format_on_a_million_doubles(self):
         # random bit patterns: every binade, both signs, subnormals, infinities and NaNs
         bits = np.random.default_rng(20261020).integers(0, 2**64, 10**6, dtype=np.uint64)
         table = bits.view(np.float64).reshape(-1, 2)
-        assert array_lines(table) == [f"{'%.17g' % a},{'%.17g' % b}" for a, b in table.tolist()]
+        assert kernel_lines(table) == [f"{'%.17g' % a},{'%.17g' % b}" for a, b in table.tolist()]
 
     @settings(max_examples=300, deadline=None)
     @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
                       elements=st.floats()))
     def test_array_matches_scalar_format_property(self, table):
-        assert array_lines(table) == [",".join("%.17g" % v for v in row) for row in table.tolist()]
+        assert kernel_lines(table) == [",".join("%.17g" % v for v in row) for row in table.tolist()]
 
     # Each family below fails a kernel without one of its guards (checked on copies of
     # ``_csvio`` with the guard removed): the neighbours of powers of ten one that takes X
@@ -804,7 +845,7 @@ class TestCsvOutput:
     def test_array_matches_scalar_format_on_named_families(self, family):
         values = FORMAT_FAMILIES[family]()
         values = np.array([*values, *(-v for v in values)])
-        assert array_lines(values[:, None]) == ["%.17g" % v for v in values.tolist()]
+        assert kernel_lines(values[:, None]) == ["%.17g" % v for v in values.tolist()]
 
     def test_bytes_do_not_depend_on_simd_dispatch(self, tmp_path):
         # numpy's AVX-512 kernels off in a second process: np.log10 only seeds X, so the
