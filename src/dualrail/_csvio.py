@@ -7,13 +7,12 @@ file), then the column header and rows.  UTF-8, LF newlines.
 
 A table is any 2-D numeric table (an array or rows of numbers), read once as
 float64; each cell is Python's '%.17g' text of its value, which for an int
-below 2^53 is its str.  Each block of ``_ARRAY_BLOCK`` rows goes to one
-all-'%.17g' '%' template when it has fewer than ``_KERNEL_MIN_ROWS`` rows,
-else to the numpy kernel below, which writes the same bytes but pays about
-0.5 ms a block.  Per block (one BLAS thread, 2-vCPU Xeon VM) the template took
-0.85, 0.93 and 0.99 of the kernel's time at 512 rows of 3, 5 and 7 columns
-and 1.10-1.24 of it at 768: protocol runs and figures (a few hundred rows)
-take the template, the 'amplitude' curve's thousands of rows the kernel.
+below 2^53 is its str.  The numpy kernel below writes every cell: the table
+goes to it in passes of whole rows, about ``_ARRAY_BLOCK`` cells each, and
+each pass formats all its cells at once, row-major, each followed by its
+separator (',' or, at a row's end, a line feed).  A pass costs about 0.15 ms
+however short; 8,192 cells a pass rendered 'amplitude' curves of 7,000-28,000
+rows 5% faster than 4,096 did, and 16,384 slower (one BLAS thread, 2-vCPU Xeon).
 
 The kernel scales each |x| to P = |x| 10^(16-X) as a double-double:
 the exact (Dekker) product of |x| with the hi part of a power-of-ten table,
@@ -46,10 +45,8 @@ from .chain_core import two_product
 # The line boundaries of str.splitlines: a header value holding any of them would split its line.
 LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
-# Rows formatted per pass: it bounds the kernel's temporaries at about 2 MB.
-_ARRAY_BLOCK = 4096
-# The shortest block the kernel formats; a shorter one goes to the '%.17g' template.
-_KERNEL_MIN_ROWS = 512
+# Cells formatted per pass: the kernel's temporaries take about 300 B a cell.
+_ARRAY_BLOCK = 8192
 # The kernel's range: 1e-290 <= |x| < 2^1023 has -290 <= X <= 307, so 10^(16-X) needs
 # -292 <= k <= 307 when log10's first guess is one off.  (Dekker's split of a larger
 # value overflows.)
@@ -77,11 +74,9 @@ def render_csv(columns, table, metadata=None) -> str:
         if not LINE_BREAKS.isdisjoint(line):  # it would forge header or data lines
             raise ValueError(f"a CSV header value cannot hold a line break: {line[2:]!r}")
     table = np.asarray(table, float).reshape(-1, len(columns))
-    template = ",".join(["%.17g"] * len(columns)) + "\n"
-    blocks = (table[start:start + _ARRAY_BLOCK] for start in range(0, len(table), _ARRAY_BLOCK))
+    rows = max(1, _ARRAY_BLOCK // len(columns))
     lines = [",".join(columns) + "\n"]
-    lines += (_format_block(block) if len(block) >= _KERNEL_MIN_ROWS
-              else template * len(block) % tuple(block.ravel().tolist()) for block in blocks)
+    lines += (_format_block(table[start:start + rows]) for start in range(0, len(table), rows))
     data_section = "".join(lines)
     digest = hashlib.sha256(data_section.encode("utf-8")).hexdigest()
     now = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
@@ -90,17 +85,17 @@ def render_csv(columns, table, metadata=None) -> str:
 
 
 def _format_block(block: np.ndarray) -> str:
-    """The CSV rows of a (rows x columns) float64 block, written by the kernel."""
-    n, m = block.shape
-    cells = np.zeros((n, m, _CELL_WORDS), "<u8")
-    for j in range(m):
-        _format_column(block[:, j], cells[:, j], "," if j < m - 1 else "\n")
+    """The CSV rows of a (rows x columns) float64 block, written by the kernel in one pass."""
+    separators = np.full(block.shape, ord(","), np.uint8)
+    separators[:, -1] = ord("\n")
+    cells = np.zeros((block.size, _CELL_WORDS), "<u8")
+    _format_cells(block.ravel(), cells, separators.ravel())
     strings = cells.view(f"S{8 * _CELL_WORDS}").ravel()
     return b"".join(strings.tolist()).decode("ascii")  # tolist drops the NUL padding
 
 
-def _format_column(x: np.ndarray, out: np.ndarray, separator: str) -> None:
-    """Write the '%.17g' text of each value of ``x``, then ``separator``, into its cell of ``out``."""
+def _format_cells(x: np.ndarray, out: np.ndarray, separators: np.ndarray) -> None:
+    """Write the '%.17g' text of each value of ``x``, then its separator, into its cell of ``out``."""
     tables = _tables()
     a = np.abs(x)
     kernel = (a >= _KERNEL_MIN) & (a < _KERNEL_MAX)  # False for NaN
@@ -126,7 +121,7 @@ def _format_column(x: np.ndarray, out: np.ndarray, separator: str) -> None:
         text[i] = 0
         text[i, :len(scalar)] = np.frombuffer(scalar, np.uint8)
         length[i] = len(scalar)
-    text[np.arange(len(x)), length] = ord(separator)
+    text[np.arange(len(x)), length] = separators
 
 
 def _scaled(a: np.ndarray, exponent: np.ndarray, tables: dict):

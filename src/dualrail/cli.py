@@ -46,9 +46,11 @@ _ESCAPED_BREAKS = str.maketrans({c: c.encode("unicode_escape").decode("ascii")
 # CPython 3.11 (x86-64) process, ns columns on: 226 B per `amplitude` grid point (at 10^6
 # rows, N = 50; 245 B at N = 1000) and per `protocol` measurement 582 B for a damped
 # uniform schedule (slope from 10^5 to 4 x 10^5 rows) and up to 734 B for greedy (N = 12
-# to 1000, slopes over 4 x 10^4 to 10^5 rows), rounded up.
+# to 1000, slopes over 4 x 10^4 to 10^5 rows), rounded up; `optimize`, with no rows, 256-287 B
+# per schedule interval (N = 12, 60 and 200, slopes over 10^4 to 8 x 10^4), rounded up.
 _AMPLITUDE_POINT_BYTES = 250
 _MEASUREMENT_BYTES = 800
+_INTERVAL_BYTES = 300
 
 
 class _Parser(argparse.ArgumentParser):
@@ -179,10 +181,10 @@ def _cmd_amplitude(cfg: dict) -> tuple[str, int]:
     return render_csv(columns, np.column_stack((grid.times, *ns, probs)), meta), EXIT_OK
 
 
-def _l_max(cfg: dict) -> int:
-    """The measurement count, rejected before any run when its rows could not fit in memory."""
+def _l_max(cfg: dict, step_bytes: int) -> int:
+    """The measurement count, rejected before any run when its ``step_bytes`` each would not fit."""
     l_max = cfg.get("l_max", 20)
-    require_physical_memory(l_max * _MEASUREMENT_BYTES, f"l_max={l_max} measurements")
+    require_physical_memory(l_max * step_bytes, f"l_max={l_max} measurements")
     return l_max
 
 
@@ -211,7 +213,7 @@ def _cmd_protocol(cfg: dict) -> tuple[str, int]:
     noise = _resolve_noise(cfg)
     source = cfg.get("schedule", "greedy")
     if source in ("greedy", "uniform"):
-        l_max = _l_max(cfg)
+        l_max = _l_max(cfg, _MEASUREMENT_BYTES)
     elif "l_max" in cfg:
         raise ValueError("a schedule file sets the measurement count; drop --l-max")
     p_target = cfg.get("p_target")
@@ -243,7 +245,7 @@ def _cmd_protocol(cfg: dict) -> tuple[str, int]:
 
 def _cmd_optimize(cfg: dict) -> tuple[str, int]:
     _, dec = _chain(cfg)
-    schedule = greedy_optimize(dec, l_max=_l_max(cfg))
+    schedule = greedy_optimize(dec, l_max=_l_max(cfg, _INTERVAL_BYTES))
     return schedule.to_json() + "\n", EXIT_OK
 
 

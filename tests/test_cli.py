@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dualrail import _csvio, analysis, cli, protocol
+from dualrail import _csvio, analysis, chain_core, cli, protocol
 from dualrail._csvio import LINE_BREAKS, format_value, render_csv
 from dualrail.chain_core import (ChainSpec, build_sector_hamiltonian, diagonalize, grid_points,
                                  time_scale)
@@ -448,6 +448,17 @@ class TestOptimize:
         assert out == ""
         assert err.startswith("error:") and "physical memory" in err
 
+    def test_memory_guard_counts_an_interval_not_a_protocol_row(self, capsys, monkeypatch):
+        # memory for 10 intervals of a schedule, less than for 10 rows of a protocol CSV
+        monkeypatch.setattr(chain_core, "_PHYSICAL_MEMORY_BYTES", 10 * cli._INTERVAL_BYTES)
+        assert cli._INTERVAL_BYTES < cli._MEASUREMENT_BYTES
+        code, out, _ = run_cli(capsys, "optimize", "--n", "3", "--l-max", "10")
+        assert code == 0
+        assert len(json.loads(out)["intervals"]) == 10
+        code, out, err = run_cli(capsys, "protocol", "--n", "3", "--l-max", "10")
+        assert_validation_error(code, out, err)
+        assert "physical memory" in err
+
     @pytest.mark.parametrize("n", ["20", "200"])
     def test_replayed_schedule_reproduces_greedy_rows(self, capsys, tmp_path, n):
         path = tmp_path / "sched.json"
@@ -732,8 +743,8 @@ FORMAT_FAMILIES = {
 }
 
 
-# Run by a fresh interpreter: digests of the formatted vectors and of an 'amplitude' table,
-# then the dispatch targets that numpy has on.
+# Run by a fresh interpreter: digests of the formatted vectors, of an 'amplitude' table and
+# of a 20-row 'protocol' table, then the dispatch targets that numpy has on.
 SIMD_PROBE = """
 import hashlib, pathlib, sys
 import numpy as np
@@ -747,8 +758,9 @@ work = pathlib.Path(sys.argv[1])
 values = np.load(work / "values.npy")
 undated = lambda text: "".join(l for l in text.splitlines(True) if not l.startswith("# generated="))
 print(hashlib.sha256(_format_block(values[:, None]).encode()).hexdigest())
-assert cli.main(["amplitude", "--n", "200", "--out", str(work / "amplitude.csv")]) == 0
-print(hashlib.sha256(undated((work / "amplitude.csv").read_text()).encode()).hexdigest())
+for argv in (["amplitude", "--n", "200"], ["protocol", "--n", "12", "--l-max", "20"]):
+    assert cli.main([*argv, "--out", str(work / "table.csv")]) == 0
+    print(hashlib.sha256(undated((work / "table.csv").read_text()).encode()).hexdigest())
 print(" ".join(k for k in __cpu_dispatch__ if __cpu_features__.get(k)))
 """
 
@@ -757,7 +769,7 @@ class TestCsvOutput:
     @pytest.mark.parametrize("argv", [
         ("amplitude", "--n", "7", "--t-max", "4", "--dt", "0.01"),
         ("amplitude", "--n", "7", "--t-max", "4", "--dt", "0.01", "--j-kelvin", "20"),
-        ("amplitude", "--n", "3", "--t-max", "1", "--dt", "0.01"),  # 101 rows: the template
+        ("amplitude", "--n", "3", "--t-max", "1", "--dt", "0.01"),  # 101 rows: one pass
         ("protocol", "--n", "12", "--l-max", "15"),
         ("protocol", "--n", "12", "--l-max", "600", "--schedule", "uniform", "--j-kelvin", "20"),
         ("protocol", "--n", "12", "--l-max", "15", "--schedule", "uniform"),
@@ -791,27 +803,30 @@ class TestCsvOutput:
                 (2**53 - 1, 0.1, 1 / 3)]
         floats = [(0.0, -0.0, 0.1), (2.0**60, 5e-324, 1 / 3), (-12.5, 1e-300, 1e308),
                   (math.inf, 0.1, math.nan), (1e16, -1e-5, 1e17)]
+        specials = [(0.0, -0.0, math.nan, math.inf, 5e-324)]
 
         def expected_data(cells):
-            return "i,x,y\n" + "".join(",".join(map(format_value, row)) + "\n" for row in cells)
+            header = ",".join("ixyzw"[:len(cells[0])])
+            return header + "\n" + "".join(",".join(map(format_value, row)) + "\n" for row in cells)
 
         assert expected_data(rows).splitlines()[1:3] == [
             "0,-0,0.10000000000000001",
             "4503599627370496,4.9406564584124654e-324,0.33333333333333331"]
-        for table, cells in ((rows, rows), (np.array(floats), floats)):
+        for table, cells in ((rows, rows), (np.array(floats), floats), ([[1 / 3]], [(1 / 3,)]),
+                             (np.array(specials), specials)):
             expected = expected_data(cells)
-            text = render_csv(("i", "x", "y"), table)
+            text = render_csv(tuple("ixyzw"[:len(cells[0])]), table)
             digest_line, generated_line, data = text.split("\n", 2)
             assert data == expected
             assert digest_line == f"# digest=sha256:{hashlib.sha256(expected.encode()).hexdigest()}"
             assert generated_line.startswith("# generated=")
 
-    @pytest.mark.parametrize("size", ["below-kernel-minimum", "kernel-minimum", "block-plus-one"])
-    def test_block_size_picks_the_formatter(self, monkeypatch, size):
-        minimum, block = _csvio._KERNEL_MIN_ROWS, _csvio._ARRAY_BLOCK
-        rows, kernel_blocks = {"below-kernel-minimum": (minimum - 1, []),
-                               "kernel-minimum": (minimum, [minimum]),
-                               "block-plus-one": (block + 1, [block])}[size]  # 1-row tail: template
+    @pytest.mark.parametrize("size", ["one-row", "one-pass", "one-pass-plus-one-row"])
+    def test_every_pass_reaches_the_kernel(self, monkeypatch, size):
+        per_pass = _csvio._ARRAY_BLOCK // 3
+        rows, kernel_blocks = {"one-row": (1, [1]),
+                               "one-pass": (per_pass, [per_pass]),
+                               "one-pass-plus-one-row": (per_pass + 1, [per_pass, 1])}[size]
         blocks = []
 
         def spy(block):
@@ -849,8 +864,9 @@ class TestCsvOutput:
 
     def test_bytes_do_not_depend_on_simd_dispatch(self, tmp_path):
         # numpy's AVX-512 kernels off in a second process: np.log10 only seeds X, so the
-        # same vectors and an N = 200 'amplitude' table must give the same bytes.  It has
-        # power only on a host where those kernels were on.
+        # same vectors, an N = 200 'amplitude' table and a 20 x 5 'protocol' table, short
+        # enough to run in the vector loops' tails, must give the same bytes.  It has power
+        # only on a host where those kernels were on.
         rng = np.random.default_rng(5)
         values = [rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)]
         values += [np.array(family(), float) for family in FORMAT_FAMILIES.values()]
@@ -872,7 +888,7 @@ class TestCsvOutput:
         *digests, features = default.stdout.splitlines()
         *reduced_digests, reduced_features = reduced.stdout.splitlines()
         print(f"dispatch targets on: [{features}], with the setting: [{reduced_features}]")
-        assert len(digests) == 2 and reduced_digests == digests
+        assert len(digests) == 3 and reduced_digests == digests
 
     def test_line_breaks_are_the_splitlines_boundaries(self):
         assert LINE_BREAKS == {c for c in map(chr, range(sys.maxunicode + 1))
