@@ -202,12 +202,14 @@ def grid_points(t_lo: float, t_hi: float, step: float) -> int:
 
 
 # PhaseGrid.sums runs as a non-uniform FFT from this many modes on, else as the
-# factored table.  A greedy scan (G = 29N) sums in about the same time both ways near
-# N = 300, 0.33 ms by the table and 0.27 by the FFT; at N = 1000 the table takes
-# 3.5 ms, the FFT 1.1 (one BLAS thread).  The point count picks no route: building
-# and summing 600 points, the table takes 0.22 ms at N = 300 and 0.62 ms at N = 1000,
-# the FFT 0.37 and 0.96; the table wins below about 2,000 and 1,500 points, on grids
-# no default 300+ mode scan has (the shortest, first_peak's, has 15N >= 4,500).
+# factored table.  Forcing each route on one BLAS thread, FFT time over table time: on
+# greedy's window (G = 29N, built once, summed 20 times) 1.08 at N = 150, 0.85 at 200
+# and 0.66 at 299; on first_peak's grid (15N, summed once) 1.33 at 200, 1.04 at 250 and
+# 0.92 at 299; on amplitude's default grid (150N at dt 0.01, summed once) 1.19 at 200,
+# 1.03 at 275 and 1.00 at 299.  A lower threshold would slow amplitude, so it stays.
+# The point count picks no route: built and summed once, the table wins below about
+# 3,000 points at N = 300 and 1,000 at N = 1000, and the shortest default grid of 300+
+# modes, first_peak's, has 15N >= 4,500.
 _NUFFT_MIN_MODES = 300
 # Gaussian kernel half-width in fine-grid cells, and the fine grid's oversampling
 _NUFFT_HALF_WIDTH = 15
@@ -251,6 +253,20 @@ def _fft_size(n: int, multiple: int) -> int:
             f35 *= 3
         f5 *= 5
     return best
+
+
+def _unit_roots(m: int):
+    """r -> exp(-2 pi i r/m) for an integer array r, from about 2 sqrt(m) exponentials: with
+    S = ceil(sqrt(m)) and r = a*S + b mod m, the product of the roots of a*S and of b."""
+    s = math.isqrt(m - 1) + 1
+    count = -(-m // s)
+    roots = np.exp((-2j * math.pi / m) * np.concatenate((s * np.arange(count), np.arange(s))))
+
+    def root(r):
+        r %= m
+        return roots[r // s] * roots[count + r % s]
+
+    return root
 
 
 def _phase_tables(energies: np.ndarray, *grids: tuple[float, float, int]) -> list[np.ndarray]:
@@ -300,16 +316,35 @@ class PhaseGrid:
       direct exponential's own phase rounding (2.5u measured at N = 200 and
       299, unit roundoff u).  Each ``sums`` is one cache-resident matrix
       product, O(G * modes).
-    * Otherwise a type-1 non-uniform FFT with Gaussian gridding (Greengard &
-      Lee, SIAM Rev. 46, 443 (2004)).  With the centre index j0,
+    * Otherwise a type-1 non-uniform FFT with Gaussian gridding (Greengard & Lee,
+      SIAM Rev. 46, 443 (2004)).  With the centre index j0,
       S(t_{j0+m}) = sum_k c_k exp(-i omega_k m) for omega_k = E_k*step and
       c_k = w_k exp(-i E_k (t_lo + step*j0)).  ``sums`` spreads each c_k onto
       2*_NUFFT_HALF_WIDTH cells of a periodic fine grid of M >= 2G points,
-      takes one ``np.fft.fft`` and divides out the Gaussian's transform:
-      O(modes + G log G) time and O(modes + G) memory.  Each mode's position
-      on the fine grid and its centre phase are formed to double-double
-      precision, so the sums are within 1e-14 * sum|w| of exact arithmetic,
-      several times closer than the factored table (6e-14 at N = 1000-2000).
+      transforms it and divides out the Gaussian's transform.  The kernels cover
+      only a cyclic band of the fine grid, from cell lo, of
+      (E_max - E_min) step M/(2 pi) + 2*_NUFFT_HALF_WIDTH cells or more, 6.4% of it
+      on greedy's window at delta = 1; the plan takes for Q the smallest divisor of
+      M that holds it.  With M = P*Q and q = k1 + P*k2 the transform splits in four
+      steps whose first is empty (Bailey, J. Supercomputing 4, 23 (1990)): output q
+      is the Q-point FFT at k2 of row k1, the band times the twiddles
+      exp(-2 pi i n k1/M), times the band offset's exp(-2 pi i lo q/M), which the
+      plan folds into the deconvolution.  The twiddles also shift the outputs by j0,
+      so grid point j reads output j, row j % P at column j // P.  So each ``sums``
+      is one bincount onto Q cells, one P x Q product and one batched FFT of P rows,
+      in place in a buffer the plan holds (so a grid sums in one thread at a time):
+      O(modes + M log Q) time, where numpy runs P short rows 2-3 times faster per
+      point than one long transform (7.8 against 22 ns at N = 1000), and a spectrum
+      that fills the grid gets P = 1.  The plan holds O(modes + M) memory, 3.3 MB at
+      N = 1000.  It builds the twiddles and offsets as products of two tables of
+      about sqrt(M) roots of unity, as ``_phase_tables`` does, and the Gaussian's
+      from one exponential per |j - j0|, so a grid that sums once ('amplitude',
+      ``first_peak``) costs no more than with one M-point transform.  Each mode's
+      position on the fine grid and its centre phase are formed to double-double
+      precision, so the sums are within 1e-14 * sum|w| of exact arithmetic, several
+      times closer than the factored table (1.0-3.5e-15 measured at N = 300-2000, at
+      delta = 0, where the band wraps the grid's origin, and at delta = 20-60, where
+      P is 2 or 1).
     """
 
     def __init__(self, energies: np.ndarray, t_lo: float, t_hi: float, step: float):
@@ -331,7 +366,8 @@ class PhaseGrid:
 
     def _plan_nufft(self, energies: np.ndarray, t_lo: float, step: float) -> None:
         sigma, half = _NUFFT_OVERSAMPLING, _NUFFT_HALF_WIDTH
-        m = _fft_size(sigma * len(self.times), 2 * sigma)
+        n_points = len(self.times)
+        m = _fft_size(sigma * n_points, 2 * sigma)
         centre = m // (2 * sigma)  # outputs j - centre span [-M/(2 sigma), M/(2 sigma))
         tau = math.pi * half / ((2 * centre) ** 2 * sigma * (sigma - 0.5))
         # omega_k in fine-grid cells, u = E*step*M/(2 pi), as hi + lo: its whole
@@ -348,15 +384,36 @@ class PhaseGrid:
         offsets = np.arange(1 - half, half + 1)
         d = (frac[:, None] - offsets) * (2.0 * math.pi / m)
         self._spread = np.exp(d * d / (-4.0 * tau))
-        cells = (cell.astype(np.int64)[:, None] + offsets) % m
-        self._slots = (2 * cells[:, :, None] + np.arange(2)).ravel()  # real, imag of each cell
+        # the cyclic band of Q | M cells from lo that the kernels cover, in P = M/Q rows
+        above = np.mod(cell - cell[0], m)  # cells above the lowest mode's, for ascending E
+        width = min(m, int(above.max()) + 2 * half)
+        n_rows = next(p for p in range(m // width, 0, -1) if m % p == 0)
+        band, lo = m // n_rows, int(cell[0] + 1 - half) % m
+        # the real and imaginary slots of each kernel's cells, which wrap only in a full band
+        self._slots = ((2 * above.astype(np.int64))[:, None] + np.arange(4 * half)).ravel()
+        if band == m:
+            self._slots %= 2 * m
         # exp(-i E t_lo) from E*t_lo as hi + lo, and exp(-i omega centre) = exp(-i pi u / sigma)
         theta, theta_err = two_product(energies, t_lo)
         self._phase = (np.exp(-1j * theta) * np.exp(-1j * theta_err)
                        * np.exp(-1j * math.pi / sigma * (np.mod(cell, 2 * sigma) + frac)))
-        j = np.arange(len(self.times)) - centre
-        self._deconv = math.sqrt(math.pi / tau) / m * np.exp(tau * j * j)
-        self._fft_size, self._centre = m, centre
+        # the FFT at k2 of row k1, the band times exp(-2 pi i n c/M) for c = k1 - centre, is
+        # output j = k1 + P*k2, its centre folded in; n = a*R + b takes the roots of c*a*R and c*b
+        root, c = _unit_roots(m), np.arange(n_rows) - centre
+        r = math.isqrt(band - 1) + 1
+        outer = root(np.outer(c, r * np.arange(-(-band // r))))
+        inner = root(np.outer(c, np.arange(r)))
+        self._twiddles = (outer[:, :, None] * inner[:, None, :]).reshape(n_rows, -1)[:, :band]
+        self._rows = np.empty((n_rows, band), complex)
+        # as a (count x P) table of j = k1 + P*k2: the Gaussian's exp(tau (j - centre)^2), one
+        # exponential for each |j - centre|, and the band offset's exp(-2 pi i lo (j - centre)/M)
+        count = -(-n_points // n_rows)
+        j = np.arange(max(centre + 1, count * n_rows - centre))
+        gauss = np.exp(tau * j * j)
+        gauss = np.concatenate((gauss[centre:0:-1], gauss[:count * n_rows - centre]))
+        offset = np.outer(root(lo * n_rows * np.arange(count)), root(lo * c))
+        self._deconv = (math.sqrt(math.pi / tau) / m * gauss).reshape(count, n_rows) * offset
+        self._fft_size = m
 
     def sums(self, weights: np.ndarray) -> np.ndarray:
         """S(t_j) for every grid point, shape (G,)."""
@@ -364,9 +421,11 @@ class PhaseGrid:
         if not self._fft_size:
             return ((self._base * weights) @ self._inner).ravel()[:n_points]
         spread = (self._spread * (weights * self._phase)[:, None]).view(float).ravel()
-        fine = np.fft.fft(np.bincount(self._slots, spread, 2 * self._fft_size).view(complex))
-        m, centre = self._fft_size, self._centre
-        return np.concatenate((fine[m - centre:], fine[: n_points - centre])) * self._deconv
+        rows, deconv = self._rows, self._deconv
+        band = np.bincount(self._slots, spread, 2 * rows.shape[1]).view(complex)
+        np.fft.fft(np.multiply(self._twiddles, band, out=rows), axis=1, out=rows)
+        out = np.empty_like(deconv)
+        return np.multiply(rows[:, :len(deconv)].T, deconv, out=out).ravel()[:n_points]
 
     @staticmethod
     def peaks(values: np.ndarray) -> np.ndarray:

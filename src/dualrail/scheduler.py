@@ -66,10 +66,12 @@ class _EndpointObjective:
     def __init__(self, dec: SpectralDecomposition, gamma: float):
         self.grid = PhaseGrid(dec.energies, *default_window(dec.n_sites), SCAN_STEP)
         self._decay = -2.0 * gamma
-        self._damp = np.exp(self._decay * self.grid.times)
+        self._damp = np.exp(self._decay * self.grid.times) if gamma > 0 else None
 
     def best_tau(self, w: np.ndarray) -> float:
-        obj = self._damp * np.abs(self.grid.sums(w)) ** 2
+        obj = np.abs(self.grid.sums(w)) ** 2
+        if self._damp is not None:  # undamped, the weight would be exactly 1.0
+            obj *= self._damp
         peaks = self.grid.peaks(obj)
         candidates = peaks[obj[peaks] >= 0.95 * float(np.max(obj))]
         refined = [self.grid.refine(w, self._decay, j, obj[j]) for j in candidates]

@@ -256,14 +256,22 @@ class TestPhaseGrid:
         assert np.max(np.abs(fft.sums(w) - table.sums(w))) <= 1e-13 * np.sum(np.abs(w))
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
-    @pytest.mark.parametrize("n", [400, 2000])
-    def test_fft_sums_match_extended_precision(self, dec_cache, rng, n):
+    @pytest.mark.parametrize("n, delta, rows", [(400, 1.0, 12), (2000, 1.0, 15), (300, 1.0, 12),
+                                                (300, 0.0, 12), (400, 20.0, 2)],
+                             ids=["400", "2000", "300", "300-delta-0", "400-delta-20"])
+    def test_fft_sums_match_extended_precision(self, dec_cache, rng, n, delta, rows):
         # the table's own phase rounding is most of the 1e-13 above; the FFT is
         # within 1e-14 of the exact sum, checked at both edges and a random sample
-        dec = dec_cache(n)
+        # (1.0-3.5e-15 measured).  Greedy's window at delta = 1 fills 6.4% of the fine
+        # grid, so it transforms P = 12 or 15 rows; at delta = 0 the negative energies
+        # wrap the band round the grid's origin, and at delta = 20 it fills half the grid
+        dec = dec_cache(n) if delta == 1.0 else diagonalize(build_sector_hamiltonian(ChainSpec(n, delta)))
         t_lo, step = 0.05 * n, 0.05
         grid = PhaseGrid(dec.energies, t_lo, 1.5 * n, step)
         g = len(grid.times)
+        assert grid._rows.shape[0] == rows
+        if delta == 0.0:
+            assert dec.energies[0] < 0 < dec.energies[-1]
         js = np.concatenate([np.arange(50), np.arange(g - 50, g), rng.integers(0, g, 100)])
         w = rng.normal(size=n) + 1j * rng.normal(size=n)
         t = np.longdouble(t_lo) + np.longdouble(step) * js.astype(np.longdouble)
@@ -313,6 +321,27 @@ class TestPhaseGrid:
         q = -(-g // b)
         assert not grid._fft_size
         assert 3 * sum(counted) <= (b + q) * n
+
+    @pytest.mark.parametrize("scan", [*_TABLE_SCANS, "amplitude"])
+    def test_fft_plan_takes_no_more_exponentials_than_one_long_transform(self, dec_cache, monkeypatch,
+                                                                        scan):
+        # an M-point transform's plan took (2 _NUFFT_HALF_WIDTH + 3) N + G exponentials,
+        # for the kernels, the centre phases and the Gaussian's transform; the band's
+        # twiddles and offsets come from about 2 sqrt(M) roots of unity, and the Gaussian's
+        # G values from one exponential per |j - j0|, about G/2
+        n, exp, counted = 300, np.exp, []
+
+        def counting(x, *args, **kwargs):
+            counted.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(chain_core.np, "exp", counting)
+        scans = {**_TABLE_SCANS, "amplitude": lambda n: (0.0, 1.5 * n)}
+        step = 0.01 if scan == "amplitude" else SCAN_STEP
+        grid = PhaseGrid(dec_cache(n).energies, *scans[scan](n), step)
+        g = len(grid.times)
+        assert grid._fft_size >= 2 * g
+        assert sum(counted) <= (2 * chain_core._NUFFT_HALF_WIDTH + 3) * n + g
 
     @pytest.mark.parametrize("shift", [1e20, 1e300])
     def test_fft_sums_stay_finite_for_huge_energies(self, dec_cache, shift):

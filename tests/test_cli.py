@@ -403,7 +403,7 @@ class TestProtocol:
 
 
 class TestBenchmarkReferences:
-    """Two benchmark reference runs, reproduced within the benchmark's own tolerances.
+    """Four benchmark reference runs, reproduced within the benchmark's own tolerances.
 
     perfbench/refs.json is only read here.  Bitwise equality is not asked for:
     a second BLAS thread moves last bits.
@@ -414,8 +414,10 @@ class TestBenchmarkReferences:
     @pytest.mark.parametrize(
         "table, n, argv",
         [("greedy", 557, ("--l-max", "20")),  # 557 modes: the scan's FFT route
-         ("p_target", 283, ("--p-target", "0.01", "--l-max", "2000"))],  # its factored table
-        ids=["greedy-557", "p_target-283"],
+         ("greedy", 1000, ("--l-max", "20")),  # the pool's largest FFT
+         ("p_target", 283, ("--p-target", "0.01", "--l-max", "2000")),  # its factored table
+         ("p_target", 398, ("--p-target", "0.01", "--l-max", "2000"))],  # the FFT route's longest run
+        ids=["greedy-557", "greedy-1000", "p_target-283", "p_target-398"],
     )
     def test_reproduces_reference(self, capsys, table, n, argv):
         ref = json.loads(self.REFS.read_text(encoding="utf-8"))[table][str(n)]

@@ -6,7 +6,9 @@ or writes them.  A spectrum's N x N ``modes`` have one reader,
 Every refined scan steps at ``chain_core.SCAN_STEP``.  The CLI has one
 writer, ``cli.main``: its commands return their text and exit code, and it
 parses every call with the one parser built at import.  One function,
-``analysis._forked_map``, starts processes.
+``analysis._forked_map``, starts processes.  One call, in ``PhaseGrid.sums``,
+takes an FFT, and no module imports ``scipy.fft``, whose import alone costs
+about 90 ms and 4.6 MB of peak memory.
 """
 
 import argparse
@@ -251,3 +253,67 @@ def test_a_second_process_starter_is_flagged():
               "    import concurrent.futures\n")
     assert process_starters("m.py", source) == [
         "m", "m.bare", "m.fork", "m.futures", "m.pool", "m.run", "m.spawn"]
+
+
+def fft_uses(filename, source):
+    """``owner: what`` for each call into an FFT module and each import of ``scipy.fft``;
+    the owner is the qualified function or class, or the module for module-level code."""
+    stem = filename.removesuffix(".py")
+    tree = ast.parse(source, filename=filename)
+    # names bound to an FFT module or to a function imported from one
+    fft_names = {alias.asname or alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module
+                 for alias in node.names if "fft" in (*node.module.split("."), alias.name)}
+    fft_names |= {alias.asname for node in ast.walk(tree) if isinstance(node, ast.Import)
+                  for alias in node.names if alias.asname and "fft" in alias.name.split(".")}
+    found = []
+
+    def dotted(func):
+        parts = []
+        while isinstance(func, ast.Attribute):
+            parts.append(func.attr)
+            func = func.value
+        return [func.id, *parts[::-1]] if isinstance(func, ast.Name) else []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner}.{node.name}"
+        if isinstance(node, ast.Call):
+            parts = dotted(node.func)
+            if parts and ("fft" in parts[:-1] or parts[0] in fft_names):
+                found.append(f"{owner}: {'.'.join(parts)}")
+        modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import) else
+                   [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+                   if isinstance(node, ast.ImportFrom) and node.module else [])
+        if any(module == "scipy.fft" or module.startswith("scipy.fft.") for module in modules):
+            found.append(f"{owner}: import scipy.fft")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, stem)
+    return sorted(found)
+
+
+def test_phase_grid_sums_makes_the_one_fft_call():
+    assert [use for path in SOURCES
+            for use in fft_uses(path.name, path.read_text(encoding="utf-8"))] == [
+        "chain_core.PhaseGrid.sums: np.fft.fft"]
+
+
+def test_a_second_fft_or_a_scipy_fft_import_is_flagged():
+    source = ("import numpy as np\n"
+              "import scipy.fft\n"
+              "from numpy.fft import rfft\n"
+              "class Grid:\n"
+              "    def sums(self, x): return np.fft.fft(x, axis=1)\n"
+              "def ok(x): return np.sum(x) + np.abs(x)\n"
+              "def real(x): return rfft(x)\n"
+              "def inverse(x):\n"
+              "    from scipy import fft as sf\n"
+              "    return sf.ifft(x)\n"
+              "def deep(x):\n"
+              "    from scipy.fft._basic import fft\n"
+              "    return fft(x)\n")
+    assert fft_uses("m.py", source) == [
+        "m.Grid.sums: np.fft.fft", "m.deep: fft", "m.deep: import scipy.fft",
+        "m.inverse: import scipy.fft", "m.inverse: sf.ifft", "m.real: rfft", "m: import scipy.fft"]

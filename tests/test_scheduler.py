@@ -13,6 +13,7 @@ from dualrail.protocol import NoiseParams
 from dualrail.scheduler import (
     Schedule,
     ThresholdNotReached,
+    _EndpointObjective,
     default_window,
     greedy_optimize,
     greedy_run,
@@ -154,6 +155,17 @@ class TestGreedy:
         free = greedy_run(dec_cache(8), l_max=1)
         damped = greedy_run(dec_cache(8), l_max=1, noise=NoiseParams(0.5))
         assert damped.schedule.intervals[0] <= free.schedule.intervals[0] + 1e-9
+
+    @pytest.mark.parametrize("n", [8, 300])
+    def test_only_a_damped_objective_builds_its_weight(self, dec_cache, rng, n):
+        # undamped, exp(-2 gamma t) would be G exact 1.0s that change no product
+        dec = dec_cache(n)
+        free, damped = _EndpointObjective(dec, 0.0), _EndpointObjective(dec, 0.01)
+        assert free._damp is None
+        assert np.array_equal(damped._damp, np.exp(-0.02 * damped.grid.times))
+        w = dec.receiver * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        values = np.abs(free.grid.sums(w)) ** 2
+        assert (np.exp(0.0 * free.grid.times) * values).tobytes() == values.tobytes()
 
     def test_matches_replayed_schedule(self, dec_cache):
         dec = dec_cache(7)
